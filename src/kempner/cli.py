@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Results go to stdout, diagnostics to stderr. Exit codes: 0 success,
-1 domain error, 2 usage error, 3 verification failure.
+1 domain error (or stdout closed before the output was written), 2 usage
+error, 3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .applications import (
@@ -90,7 +92,9 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = VerifyConfig(max_k=args.max_k, max_n=args.max_n, prime_count=args.primes)
+    cfg = VerifyConfig(
+        max_k=args.max_k, max_n=args.max_n, prime_count=args.primes, max_zeros=args.max_zeros
+    )
     outcomes = run_suites(cfg)
     for outcome in outcomes:
         status = "ok  " if outcome.ok else "FAIL"
@@ -147,6 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=int, default=500)
     p.add_argument("--max-n", type=int, default=2000)
     p.add_argument("--primes", type=int, default=10)
+    p.add_argument("--max-zeros", type=int, default=100)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -180,4 +185,13 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`kempner table ... | head`): stop
+        # quietly, and point stdout at devnull so the flush at exit cannot
+        # raise the same error again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_DOMAIN_ERROR
+    sys.exit(code)

@@ -9,6 +9,12 @@ per-prime values eta_{p_i}(a_i), and 0 for n = +/-1. Both come with dumb
 search oracles (`eta_p_oracle`, `eta_oracle`) that realize the defining
 property directly so the closed-form path can be cross-checked, and
 `eta_p_preimage` inverts eta_p on its image.
+
+Validation happens once, at the public boundary: `eta_p`, `eta_p_oracle`
+and `eta_p_preimage` prove their prime and check their ranges, and `eta`
+trusts the primes of its `Factorization` (each `PrimePower` proved its own
+on construction) but still checks the p*k range. The kernel `_eta_p`
+trusts its arguments entirely and checks nothing.
 """
 
 from __future__ import annotations
@@ -16,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotPrimeError
-from .number_core import INT64_MAX, Factorization, is_prime, legendre_valuation, repunit
-from .repunit_repr import decompose
+from .number_core import INT64_MAX, Factorization, is_prime, legendre_valuation
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,32 @@ class EtaResult:
             raise ValueError("unit factorization must have value 0 and no argmax prime")
 
 
+def _eta_p(k: int, p: int) -> int:
+    """eta_p(k) for k >= 1 and prime p, arguments unchecked.
+
+    The greedy repunit-base expansion of `decompose`, with each digit t of
+    the repunit a_n = (p^n - 1)/(p - 1) added as t * p^n on the spot. One
+    place down is a floor division by p of both: a_n // p = a_{n-1} since
+    a_n = p*a_{n-1} + 1, and the last place, a_1 = 1, takes the remainder.
+    """
+    repunit, power = 1, p
+    while repunit * p < k:  # a_{n+1} = p*a_n + 1 <= k
+        repunit = repunit * p + 1
+        power *= p
+    m = 0
+    while k:
+        digit, k = divmod(k, repunit)
+        m += digit * power
+        repunit //= p
+        power //= p
+    return m
+
+
+def _check_range(k: int, p: int) -> None:
+    if p * k > INT64_MAX:
+        raise OverflowError(f"eta_p({k}, {p}) may exceed the 64-bit range (bound p*k)")
+
+
 def eta_p(k: int, p: int) -> int:
     """Smallest m with p^k | m!, for k >= 1 and prime p.
 
@@ -54,9 +85,8 @@ def eta_p(k: int, p: int) -> int:
         raise ValueError(f"k must be >= 1, got {k}")
     if not is_prime(p):
         raise NotPrimeError(p)
-    if p * k > INT64_MAX:
-        raise OverflowError(f"eta_p({k}, {p}) may exceed the 64-bit range (bound p*k)")
-    return sum(t * p**n for n, t in decompose(k, p).terms)
+    _check_range(k, p)
+    return _eta_p(k, p)
 
 
 def eta_p_oracle(k: int, p: int) -> int:
@@ -91,7 +121,9 @@ def eta(n: Factorization) -> EtaResult:
     The sign never affects the value. The result m is the least m >= 0
     with m! divisible by |n|.
     """
-    per_prime = tuple((f.prime, f.exponent, eta_p(f.exponent, f.prime)) for f in n.factors)
+    for f in n.factors:
+        _check_range(f.exponent, f.prime)
+    per_prime = tuple((f.prime, f.exponent, _eta_p(f.exponent, f.prime)) for f in n.factors)
     if not per_prime:
         return EtaResult(0, (), None)
     value = max(e for _, _, e in per_prime)
@@ -125,10 +157,9 @@ def eta_p_preimage(m: int, p: int) -> int:
     if m % p != 0:
         raise ValueError(f"{p} does not divide {m}: m is not in the image of eta_{p}")
     k = 0
-    rest, exponent = m, 0
+    rest, repunit = m, 0  # a_i for the digit d_i; a_0 = 0 meets d_0 = 0 as p | m
     while rest:
         rest, digit = divmod(rest, p)
-        if digit:
-            k += digit * repunit(p, exponent)
-        exponent += 1
+        k += digit * repunit
+        repunit = repunit * p + 1
     return k

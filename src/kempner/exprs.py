@@ -28,6 +28,9 @@ class FactoredExpr:
         return Factorization(self.sign, tuple(PrimePower(p, a) for p, a in self.terms))
 
 
+_DIGITS = frozenset("0123456789")  # str.isdigit() would also admit other scripts
+
+
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
     tokens = []
     i = 0
@@ -35,11 +38,15 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
         c = text[i]
         if c.isspace():
             i += 1
-        elif c.isdigit():
+        elif c in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("num", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # only CPython's limit on int-string length
+                raise ExprSyntaxError(f"number too long ({j - i} digits)", i) from None
+            tokens.append(("num", value, i))
             i = j
         elif c in "*^-":
             tokens.append((c, 0, i))
@@ -111,7 +118,7 @@ def parse_factored_expr(text: str) -> FactoredExpr:
             raise ValueError(f"exponent must be >= 1, got {exponent} for base {base}")
         if exponent > INT64_MAX:
             raise OverflowError(f"exponent {exponent} exceeds the 64-bit limit")
-        if not is_prime(base):
+        if base not in merged and not is_prime(base):  # proven at its first term
             raise NotPrimeError(base, "base")
         merged[base] = merged.get(base, 0) + exponent
     if any(a > INT64_MAX for a in merged.values()):

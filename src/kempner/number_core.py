@@ -4,6 +4,13 @@ and factorization at 64-bit scale.
 Public values are bounded by INT64_MAX; internal products may use up to
 128 bits. Anything beyond raises OverflowError instead of silently wrapping
 or silently succeeding with bignums, so the supported range is explicit.
+
+Primality is proven where a prime enters the library: `is_prime` itself,
+`repunit`, and the `PrimePower` constructor. `factorize` proves each prime
+it finds once (trial division yields primes by construction, a cofactor
+below 2^32 with no factor up to 2^16 is prime, and a larger one is proven
+by Miller-Rabin) and builds its `PrimePower`s through `_proven_power`,
+which trusts its caller and skips the constructor's re-proof.
 """
 
 from __future__ import annotations
@@ -123,6 +130,14 @@ class PrimePower:
             raise ValueError(f"exponent must be >= 1, got {self.exponent}")
 
 
+def _proven_power(prime: int, exponent: int) -> PrimePower:
+    """A PrimePower for a prime the caller has already proven and an exponent >= 1."""
+    power = object.__new__(PrimePower)
+    object.__setattr__(power, "prime", prime)
+    object.__setattr__(power, "exponent", exponent)
+    return power
+
+
 @dataclass(frozen=True)
 class Factorization:
     """A nonzero integer as sign * p1^a1 * ... * ps^as, primes strictly increasing.
@@ -221,7 +236,7 @@ def factorize(n: int) -> Factorization:
             exponents[m] = exponents.get(m, 0) + 1
         else:
             _factor_cofactor(m, exponents)
-    factors = tuple(PrimePower(p, a) for p, a in sorted(exponents.items()))
+    factors = tuple(_proven_power(p, a) for p, a in sorted(exponents.items()))
     return Factorization(sign, factors)
 
 

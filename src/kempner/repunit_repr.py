@@ -58,11 +58,14 @@ def decompose(k: int, p: int) -> RepunitDecomposition:
     Greedy: take the largest repunit a_n <= remainder, digit = remainder
     // a_n, and repeat on the rest. The base's carry structure guarantees
     the greedy digits always satisfy the invariants, so any violation is
-    surfaced as a bug by the dataclass check rather than clamped.
+    surfaced as a bug by the dataclass check rather than clamped. That
+    check is also the one primality proof of p.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k} (no representation exists)")
-    if not is_prime(p):
+    # the repunit table never ends for p < 2, so those are rejected here
+    # (is_prime raises its own error for p < 0); the dataclass proves the rest
+    if p < 2 and not is_prime(p):
         raise NotPrimeError(p)
     table = _repunits_up_to(p, k)
     terms = []

@@ -17,10 +17,25 @@ from .repunit_repr import decompose, recompose
 
 @dataclass(frozen=True)
 class VerifyConfig:
+    """Ranges of the checks, rejected on construction when some check would
+    run zero cases or could not pass."""
+
     max_k: int = 500
     max_n: int = 2000
     prime_count: int = 10
     max_zeros: int = 100
+
+    def __post_init__(self):
+        for name in ("max_k", "prime_count", "max_zeros"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # eta_p(k) = p*k for k <= p, so the first collision is
+        # eta_p(p + 1) = p^2 = eta_p(p); the prime scan starts at n = 5
+        least = max(5, first_primes(self.prime_count)[-1] + 1)
+        if self.max_n < least:
+            raise ValueError(
+                f"max_n must be >= {least} for {self.prime_count} primes, got {self.max_n}"
+            )
 
 
 @dataclass(frozen=True)

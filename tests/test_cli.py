@@ -3,6 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+
+import kempner
 
 from kempner import eta, factorize
 from kempner.cli import run
@@ -149,3 +154,45 @@ def test_overflow_is_domain_error(capsys):
     code, _, err = invoke(capsys, "eta", str(2**64))
     assert code == 1
     assert "64-bit" in err
+
+
+def test_verify_refuses_vacuous_ranges(capsys):
+    # zero primes checked nothing; max_n below p + 1 leaves eta_p no collision
+    for argv in (("--primes", "0"), ("--max-n", "1"), ("--max-k", "0"), ("--max-zeros", "0")):
+        code, out, err = invoke(capsys, "verify", *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ")
+
+
+def test_verify_max_zeros(capsys):
+    code, out, _ = invoke(
+        capsys, "verify", "--max-k", "5", "--max-n", "30", "--primes", "2", "--max-zeros", "3"
+    )
+    assert code == 0
+    assert "trailing-zeros solutions match scan (z<=3)" in out
+
+
+def test_non_ascii_digit_is_syntax_error(capsys):
+    code, out, err = invoke(capsys, "eta", "\u0663^2")
+    assert (code, out) == (1, "")
+    assert "(at position 0)" in err
+
+
+def test_closed_stdout_ends_quietly():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kempner.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from kempner.cli import main; main()", "table", "1", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    try:
+        assert proc.stdout.readline() == b"1 0\n"
+        proc.stdout.close()  # like `| head -1`
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert err == b""
+    assert proc.returncode == 1

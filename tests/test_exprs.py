@@ -108,3 +108,21 @@ def test_parser_agrees_with_factorize():
         expr = parse_factored_expr(str(n))
         f = factorize(n)
         assert expr.terms == tuple((pp.prime, pp.exponent) for pp in f.factors), n
+
+
+def test_parse_accepts_only_ascii_digits():
+    # str.isdigit() also admits Arabic-Indic and superscript digits
+    for text, position in (("٣^2", 0), ("2²", 1), ("2^1٠", 3)):
+        with pytest.raises(ExprSyntaxError) as exc_info:
+            parse_factored_expr(text)
+        assert exc_info.value.position == position
+
+
+def test_parse_number_beyond_int_string_limit():
+    # CPython refuses int() of more than 4300 digits by default
+    for text, position in (("9" * 5000, 0), ("2^" + "9" * 5000, 2)):
+        with pytest.raises((ExprSyntaxError, OverflowError)) as exc_info:
+            parse_factored_expr(text)
+        assert "sys." not in str(exc_info.value)
+        if isinstance(exc_info.value, ExprSyntaxError):
+            assert exc_info.value.position == position
