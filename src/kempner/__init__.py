@@ -7,7 +7,6 @@ realize the defining property directly for cross-checking.
 """
 
 from .applications import (
-    ZERO_ZEROS_MEMBERS,
     ZerosSolution,
     emit_table,
     prime_characterization_scan,
@@ -17,7 +16,7 @@ from .applications import (
 )
 from .errors import ExprSyntaxError, NotPrimeError, SearchBudgetError, ZeroInputError
 from .eta import EtaResult, eta, eta_oracle, eta_p, eta_p_oracle, eta_p_preimage
-from .exprs import FactoredExpr, parse_factored_expr
+from .exprs import parse_factored_expr
 from .number_core import (
     INT64_MAX,
     Factorization,
@@ -35,14 +34,12 @@ __version__ = "0.1.0"
 __all__ = [
     "EtaResult",
     "ExprSyntaxError",
-    "FactoredExpr",
     "Factorization",
     "INT64_MAX",
     "NotPrimeError",
     "PrimePower",
     "RepunitDecomposition",
     "SearchBudgetError",
-    "ZERO_ZEROS_MEMBERS",
     "ZeroInputError",
     "ZerosSolution",
     "decompose",

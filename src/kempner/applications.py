@@ -11,15 +11,9 @@ from typing import Iterator
 
 from .errors import SearchBudgetError
 from .eta import EtaResult, eta, eta_p
-from .exprs import FactoredExpr
-from .number_core import factorize, is_prime, legendre_valuation
+from .number_core import Factorization, factorize, is_prime, legendre_valuation
 
 TABLE_FORMATS = ("plain", "csv", "json-lines")
-
-# Factorials with zero trailing zeros, for callers asking about z = 0.
-# solve_trailing_zeros itself starts at z = 1 (m = 0 is excluded from
-# members, so z = 0 would otherwise be a special case).
-ZERO_ZEROS_MEMBERS = (1, 2, 3, 4)
 
 
 @dataclass(frozen=True)
@@ -27,14 +21,17 @@ class ZerosSolution:
     """All m >= 1 whose factorial ends in exactly z zeros.
 
     members is ascending and contiguous: empty when no factorial attains z
-    (the count jumps past it at a higher power of 5), otherwise exactly the
-    five integers from one multiple of 5 up to the next.
+    (the count jumps past it at a higher power of 5), (1, 2, 3, 4) for
+    z = 0 (m = 0 is not a member), otherwise exactly the five integers from
+    one multiple of 5 up to the next.
     """
 
     z: int
     members: tuple[int, ...]
 
     def __post_init__(self):
+        if self.z == 0 and self.members == (1, 2, 3, 4):
+            return
         if len(self.members) not in (0, 5):
             raise ValueError(f"members must have 0 or 5 elements, got {len(self.members)}")
         if self.members:
@@ -57,15 +54,18 @@ def trailing_zeros(m: int) -> int:
 
 
 def solve_trailing_zeros(z: int) -> ZerosSolution:
-    """All m whose factorial has exactly z >= 1 trailing zeros.
+    """All m >= 1 whose factorial has exactly z >= 0 trailing zeros.
 
-    The least candidate is eta_5(z); eta_2(z) <= eta_5(z) is checked at
-    runtime instead of assumed, so eta of 10^z never has to be formed. If
-    the candidate overshoots z, no factorial attains z and the solution is
-    empty; otherwise it is the five integers up to the next multiple of 5.
+    z = 0 is answered by 1..4. Otherwise the least candidate is eta_5(z);
+    eta_2(z) <= eta_5(z) is checked at runtime instead of assumed, so eta
+    of 10^z never has to be formed. If the candidate overshoots z, no
+    factorial attains z and the solution is empty; otherwise it is the five
+    integers up to the next multiple of 5.
     """
-    if z < 1:
-        raise ValueError(f"z must be >= 1, got {z}")
+    if z < 0:
+        raise ValueError(f"z must be >= 0, got {z}")
+    if z == 0:
+        return ZerosSolution(0, (1, 2, 3, 4))
     candidate = eta_p(z, 5)
     if eta_p(z, 2) > candidate:
         raise RuntimeError(f"eta_2({z}) > eta_5({z}): 2-adic side cannot dominate")
@@ -76,9 +76,9 @@ def solve_trailing_zeros(z: int) -> ZerosSolution:
     return ZerosSolution(z, tuple(range(candidate, candidate + 5)))
 
 
-def smallest_factorial_multiple(n: FactoredExpr) -> EtaResult:
-    """eta over a parsed expression: least m with m! a multiple of the input."""
-    return eta(n.to_factorization())
+def smallest_factorial_multiple(n: Factorization) -> EtaResult:
+    """Least m with m! a multiple of n, i.e. eta(n)."""
+    return eta(n)
 
 
 def prime_characterization_scan(limit: int, budget: int = 10**6) -> list[int]:

@@ -13,14 +13,13 @@ import sys
 
 from .applications import (
     TABLE_FORMATS,
-    ZERO_ZEROS_MEMBERS,
     emit_table,
     smallest_factorial_multiple,
     solve_trailing_zeros,
 )
-from .errors import SearchBudgetError
+from .errors import NotPrimeError, SearchBudgetError
 from .eta import eta_p
-from .exprs import parse_factored_expr
+from .exprs import _DIGITS, parse_factored_expr
 from .number_core import Factorization, factorize, is_prime, legendre_valuation, repunit
 from .repunit_repr import decompose
 from .verify import VerifyConfig, run_suites
@@ -29,6 +28,18 @@ EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
 EXIT_USAGE = 2
 EXIT_VERIFY_FAILED = 3
+
+
+def integer(text: str) -> int:
+    """argparse type: ASCII digits with an optional leading '-'.
+
+    int() alone would also take other scripts' digits, '_' separators and
+    surrounding whitespace.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not digits or not _DIGITS.issuperset(digits):
+        raise ValueError(text)
+    return int(text)
 
 
 def format_factorization(f: Factorization) -> str:
@@ -66,17 +77,13 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_valuation(args) -> int:
     if not is_prime(args.p):
-        raise ValueError(f"p must be prime, got {args.p}")
+        raise NotPrimeError(args.p)
     print(legendre_valuation(args.m, args.p))
     return EXIT_OK
 
 
 def _cmd_zeros(args) -> int:
-    if args.z == 0:
-        members = ZERO_ZEROS_MEMBERS
-    else:
-        members = solve_trailing_zeros(args.z).members
-    print(" ".join(str(m) for m in members))
+    print(" ".join(str(m) for m in solve_trailing_zeros(args.z).members))
     return EXIT_OK
 
 
@@ -119,39 +126,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eta)
 
     p = sub.add_parser("eta-p", help="smallest m with p^k dividing m!")
-    p.add_argument("k", type=int)
-    p.add_argument("p", type=int)
+    p.add_argument("k", type=integer)
+    p.add_argument("p", type=integer)
     p.set_defaults(func=_cmd_eta_p)
 
     p = sub.add_parser("decompose", help="representation of k in the repunit base of p")
-    p.add_argument("k", type=int)
-    p.add_argument("p", type=int)
+    p.add_argument("k", type=integer)
+    p.add_argument("p", type=integer)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("valuation", help="exponent of prime p in m!")
-    p.add_argument("m", type=int)
-    p.add_argument("p", type=int)
+    p.add_argument("m", type=integer)
+    p.add_argument("p", type=integer)
     p.set_defaults(func=_cmd_valuation)
 
     p = sub.add_parser("zeros", help="all m whose factorial ends in exactly z zeros")
-    p.add_argument("z", type=int)
+    p.add_argument("z", type=integer)
     p.set_defaults(func=_cmd_zeros)
 
     p = sub.add_parser("table", help="emit n -> eta(n) for a range")
-    p.add_argument("start", type=int)
-    p.add_argument("end", type=int)
+    p.add_argument("start", type=integer)
+    p.add_argument("end", type=integer)
     p.add_argument("--format", choices=TABLE_FORMATS, default="plain")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("factor", help="prime factorization of a 64-bit integer")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=integer)
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("verify", help="run oracle-equivalence and property suites")
-    p.add_argument("--max-k", type=int, default=500)
-    p.add_argument("--max-n", type=int, default=2000)
-    p.add_argument("--primes", type=int, default=10)
-    p.add_argument("--max-zeros", type=int, default=100)
+    p.add_argument("--max-k", type=integer, default=500)
+    p.add_argument("--max-n", type=integer, default=2000)
+    p.add_argument("--primes", type=integer, default=10)
+    p.add_argument("--max-zeros", type=integer, default=100)
     p.set_defaults(func=_cmd_verify)
 
     return parser

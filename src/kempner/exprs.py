@@ -8,25 +8,8 @@ beyond 64 bits, which is the whole point of accepting it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ExprSyntaxError, NotPrimeError, ZeroInputError
-from .number_core import INT64_MAX, Factorization, PrimePower, factorize, is_prime
-
-
-@dataclass(frozen=True)
-class FactoredExpr:
-    """Validated input: sign and merged (prime, exponent) terms, primes increasing.
-
-    An empty terms tuple is +1 or -1.
-    """
-
-    sign: int
-    terms: tuple[tuple[int, int], ...]
-
-    def to_factorization(self) -> Factorization:
-        return Factorization(self.sign, tuple(PrimePower(p, a) for p, a in self.terms))
-
+from .number_core import INT64_MAX, Factorization, _proven_power, factorize, is_prime
 
 _DIGITS = frozenset("0123456789")  # str.isdigit() would also admit other scripts
 
@@ -56,12 +39,12 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
     return tokens
 
 
-def parse_factored_expr(text: str) -> FactoredExpr:
+def parse_factored_expr(text: str) -> Factorization:
     """Parse and validate a factored expression or plain decimal integer.
 
     Plain decimals go through factorize (so they are bounded by 64 bits);
-    factored forms get every base primality-checked and repeated bases
-    merged by adding exponents.
+    factored forms get each distinct base proven prime once and repeated
+    bases merged by adding exponents.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -105,10 +88,7 @@ def parse_factored_expr(text: str) -> FactoredExpr:
         value = sign * raw_terms[0][0]
         if value == 0:
             raise ZeroInputError("0 is outside the domain (eta is undefined at 0)")
-        if abs(value) == 1:
-            return FactoredExpr(sign, ())
-        f = factorize(value)
-        return FactoredExpr(f.sign, tuple((pp.prime, pp.exponent) for pp in f.factors))
+        return factorize(value)
 
     merged: dict[int, int] = {}
     for base, exponent in raw_terms:
@@ -123,4 +103,4 @@ def parse_factored_expr(text: str) -> FactoredExpr:
         merged[base] = merged.get(base, 0) + exponent
     if any(a > INT64_MAX for a in merged.values()):
         raise OverflowError("merged exponent exceeds the 64-bit limit")
-    return FactoredExpr(sign, tuple(sorted(merged.items())))
+    return Factorization(sign, tuple(_proven_power(p, a) for p, a in sorted(merged.items())))

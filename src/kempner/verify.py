@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .applications import solve_trailing_zeros, trailing_zeros
+from .applications import prime_characterization_scan, solve_trailing_zeros, trailing_zeros
 from .eta import eta, eta_oracle, eta_p, eta_p_oracle, eta_p_preimage
-from .number_core import factorize, first_primes, is_prime
+from .number_core import factorize, first_primes
 from .repunit_repr import decompose, recompose
 
 
@@ -125,10 +125,7 @@ def check_preimage(cfg: VerifyConfig) -> CheckOutcome:
 
 
 def check_prime_characterization(cfg: VerifyConfig) -> CheckOutcome:
-    failures = []
-    for n in range(5, cfg.max_n + 1):
-        if (eta(factorize(n)).value == n) != is_prime(n):
-            failures.append(f"n={n}")
+    failures = [f"n={n}" for n in prime_characterization_scan(cfg.max_n, budget=cfg.max_n)]
     return _outcome("eta(n)=n exactly at primes (n>4)", failures, f"n<={cfg.max_n}")
 
 

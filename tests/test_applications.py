@@ -6,7 +6,6 @@ import pytest
 
 from kempner import (
     SearchBudgetError,
-    ZERO_ZEROS_MEMBERS,
     ZerosSolution,
     emit_table,
     eta_p,
@@ -84,12 +83,12 @@ def test_solve_structure():
 
 def test_solve_domain():
     with pytest.raises(ValueError):
-        solve_trailing_zeros(0)
+        solve_trailing_zeros(-1)
 
 
 def test_zero_count_zero_constant():
-    assert ZERO_ZEROS_MEMBERS == (1, 2, 3, 4)
-    assert all(trailing_zeros(m) == 0 for m in ZERO_ZEROS_MEMBERS)
+    assert solve_trailing_zeros(0) == ZerosSolution(0, (1, 2, 3, 4))
+    assert all(trailing_zeros(m) == 0 for m in solve_trailing_zeros(0).members)
     assert trailing_zeros(5) == 1
 
 
@@ -100,6 +99,9 @@ def test_zeros_solution_validation():
         ZerosSolution(1, (5, 6, 7, 8, 10))  # not contiguous
     with pytest.raises(ValueError):
         ZerosSolution(1, (6, 7, 8, 9, 10))  # not starting at a multiple of 5
+    with pytest.raises(ValueError):
+        ZerosSolution(1, (1, 2, 3, 4))  # the four-member answer belongs to z = 0 only
+    assert ZerosSolution(0, (1, 2, 3, 4)).members == (1, 2, 3, 4)
 
 
 # --- smallest_factorial_multiple -------------------------------------------------

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import kempner
 
 from kempner import eta, factorize
@@ -64,9 +66,7 @@ def test_zeros_skipped_and_zero(capsys):
 def test_eta_p_and_valuation(capsys):
     assert invoke(capsys, "eta-p", "13", "7") == (0, "84\n", "")
     assert invoke(capsys, "valuation", "4005", "5") == (0, "1000\n", "")
-    code, _, err = invoke(capsys, "valuation", "10", "6")
-    assert code == 1
-    assert "prime" in err
+    assert invoke(capsys, "valuation", "10", "6") == (1, "", "error: p must be prime, got 6\n")
 
 
 def test_decompose_output(capsys):
@@ -137,6 +137,24 @@ def test_usage_errors_exit_2(capsys):
     assert invoke(capsys)[0] == 2
     assert invoke(capsys, "eta-p", "x", "2")[0] == 2
     assert invoke(capsys, "table", "1", "5", "--format", "yaml")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factor", "\u0663\u0666\u0660"),  # Arabic-Indic 360
+        ("eta-p", "1_0", "2"),
+        ("table", " 1", "3"),
+        ("zeros", "+1"),
+        ("valuation", "10", "-"),
+        ("decompose", "27", "\u00b3"),  # superscript 3
+        ("verify", "--max-n", "2_000"),
+    ],
+)
+def test_integer_arguments_accept_only_ascii_decimals(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "invalid integer value" in err
 
 
 def test_help_exits_0(capsys):

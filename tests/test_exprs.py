@@ -1,50 +1,55 @@
 """Factored-expression parsing and normalization."""
 
+from math import prod
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kempner import (
     ExprSyntaxError,
-    FactoredExpr,
     INT64_MAX,
+    Factorization,
     NotPrimeError,
+    PrimePower,
     ZeroInputError,
     factorize,
+    first_primes,
     parse_factored_expr,
 )
 
 
+def fact(sign, *terms):
+    return Factorization(sign, tuple(PrimePower(p, a) for p, a in terms))
+
+
 def test_parse_flagship_input():
-    expr = parse_factored_expr("2^31*3^27*7^13")
-    assert expr.sign == 1
-    assert expr.terms == ((2, 31), (3, 27), (7, 13))
+    assert parse_factored_expr("2^31*3^27*7^13") == fact(1, (2, 31), (3, 27), (7, 13))
 
 
 def test_parse_units():
-    assert parse_factored_expr("-1") == FactoredExpr(-1, ())
-    assert parse_factored_expr("1") == FactoredExpr(1, ())
+    assert parse_factored_expr("-1") == Factorization(-1, ())
+    assert parse_factored_expr("1") == Factorization(1, ())
 
 
 def test_parse_merges_repeated_bases():
     expr = parse_factored_expr("2^3 * 2")
-    assert expr.terms == ((2, 4),)
-    f = factorize(16)
-    assert expr.terms == tuple((pp.prime, pp.exponent) for pp in f.factors)
+    assert expr == fact(1, (2, 4))
+    assert expr == factorize(16)
 
 
 def test_parse_plain_decimals_are_factorized():
-    assert parse_factored_expr("10").terms == ((2, 1), (5, 1))
-    expr = parse_factored_expr("-360")
-    assert expr.sign == -1
-    assert expr.terms == ((2, 3), (3, 2), (5, 1))
+    assert parse_factored_expr("10") == fact(1, (2, 1), (5, 1))
+    assert parse_factored_expr("-360") == fact(-1, (2, 3), (3, 2), (5, 1))
 
 
 def test_parse_whitespace_and_default_exponent():
-    assert parse_factored_expr(" 2 ^ 3 * 5 ").terms == ((2, 3), (5, 1))
-    assert parse_factored_expr("3*5").terms == ((3, 1), (5, 1))
+    assert parse_factored_expr(" 2 ^ 3 * 5 ") == fact(1, (2, 3), (5, 1))
+    assert parse_factored_expr("3*5") == fact(1, (3, 1), (5, 1))
 
 
 def test_parse_sorts_bases():
-    assert parse_factored_expr("7^2*2*5").terms == ((2, 1), (5, 1), (7, 2))
+    assert parse_factored_expr("7^2*2*5") == fact(1, (2, 1), (5, 1), (7, 2))
 
 
 def test_parse_zero_rejected():
@@ -94,20 +99,45 @@ def test_parse_overflow():
 
 def test_factored_form_may_exceed_64_bits():
     # the value 2^1000 * 5^1000 is far beyond 64 bits; the parse still works
-    expr = parse_factored_expr("2^1000*5^1000")
-    assert expr.terms == ((2, 1000), (5, 1000))
+    assert parse_factored_expr("2^1000*5^1000") == fact(1, (2, 1000), (5, 1000))
 
 
-def test_to_factorization_round_trip():
-    assert parse_factored_expr("360").to_factorization().value() == 360
-    assert parse_factored_expr("-1").to_factorization().value() == -1
+def test_parse_value_round_trip():
+    assert parse_factored_expr("360").value() == 360
+    assert parse_factored_expr("-1").value() == -1
 
 
 def test_parser_agrees_with_factorize():
     for n in range(2, 2001):
-        expr = parse_factored_expr(str(n))
-        f = factorize(n)
-        assert expr.terms == tuple((pp.prime, pp.exponent) for pp in f.factors), n
+        assert parse_factored_expr(str(n)) == factorize(n), n
+        assert parse_factored_expr(str(-n)) == factorize(-n), -n
+
+
+TERM_PRIMES = first_primes(50) + (65521, 2**31 - 1)
+SPACE = st.sampled_from(("", " ", "  ", "\t"))
+
+
+@given(
+    terms=st.lists(
+        st.tuples(st.sampled_from(TERM_PRIMES), st.integers(1, 6)), min_size=1, max_size=6
+    ),
+    negative=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=300)
+def test_parse_random_terms_agrees_with_factorize(terms, negative, data):
+    parts = []
+    for p, a in terms:
+        text = f"{data.draw(SPACE)}{p}{data.draw(SPACE)}"
+        if a > 1 or data.draw(st.booleans()):
+            text += f"^{data.draw(SPACE)}{a}{data.draw(SPACE)}"
+        parts.append(text)
+    text = data.draw(SPACE) + ("-" if negative else "") + "*".join(parts)
+    product = (-1 if negative else 1) * prod(p**a for p, a in terms)
+    parsed = parse_factored_expr(text)
+    assert parsed.value() == product
+    if abs(product) <= INT64_MAX:
+        assert parsed == factorize(product)
 
 
 def test_parse_accepts_only_ascii_digits():

@@ -11,7 +11,6 @@ import pytest
 
 from kempner import (
     INT64_MAX,
-    FactoredExpr,
     Factorization,
     NotPrimeError,
     PrimePower,
@@ -78,15 +77,14 @@ def test_public_call_proves_its_prime_once(proofs, call, proven):
     assert proofs == [proven]
 
 
-def test_flagship_proves_each_base_at_most_twice(proofs):
-    expr = parse_factored_expr("2^31*3^27*7^13*2")
+def test_flagship_proves_each_base_once(proofs):
+    f = parse_factored_expr("2^31*3^27*7^13*2")
     assert proofs == [2, 3, 7]  # a repeated base is proven once
-    f = expr.to_factorization()
     proofs.clear()
     assert eta(f).value == 84
     assert proofs == []  # eta trusts the primes of its PrimePowers
     assert smallest_factorial_multiple(parse_factored_expr("2^31*3^27*7^13")).value == 84
-    assert len(proofs) <= 6
+    assert proofs == [2, 3, 7]
 
 
 def test_eta_keeps_the_range_check():
@@ -104,7 +102,7 @@ def test_hand_built_non_primes_still_rejected():
     with pytest.raises(NotPrimeError):
         RepunitDecomposition(4, ((1, 1),))
     with pytest.raises(NotPrimeError):
-        FactoredExpr(1, ((4, 2),)).to_factorization()
+        Factorization(1, (PrimePower(4, 2),))
 
 
 def test_decompose_rejects_non_primes_below_two_and_above():
