@@ -11,7 +11,7 @@ from typing import Iterator
 
 from .errors import SearchBudgetError
 from .eta import EtaResult, eta, eta_p
-from .number_core import Factorization, factorize, is_prime, legendre_valuation
+from .number_core import INT64_MAX, Factorization, factorize, is_prime, legendre_valuation
 
 TABLE_FORMATS = ("plain", "csv", "json-lines")
 
@@ -114,6 +114,8 @@ def emit_table(start: int, end: int, fmt: str = "plain") -> Iterator[str]:
         raise ValueError(f"start must be >= 1, got {start}")
     if end < start:
         raise ValueError(f"end must be >= start, got {start}..{end}")
+    if end > INT64_MAX:
+        raise OverflowError(f"end exceeds the 64-bit limit ({INT64_MAX}), got {end}")
     if fmt not in TABLE_FORMATS:
         raise ValueError(f"format must be one of {TABLE_FORMATS}, got {fmt!r}")
     if fmt == "csv":

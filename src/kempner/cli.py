@@ -17,10 +17,10 @@ from .applications import (
     smallest_factorial_multiple,
     solve_trailing_zeros,
 )
-from .errors import NotPrimeError, SearchBudgetError
+from .errors import SearchBudgetError
 from .eta import eta_p
 from .exprs import _DIGITS, parse_factored_expr
-from .number_core import Factorization, factorize, is_prime, legendre_valuation, repunit
+from .number_core import Factorization, _require_prime, factorize, legendre_valuation, repunit
 from .repunit_repr import decompose
 from .verify import VerifyConfig, run_suites
 
@@ -76,8 +76,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_valuation(args) -> int:
-    if not is_prime(args.p):
-        raise NotPrimeError(args.p)
+    _require_prime(args.p)
     print(legendre_valuation(args.m, args.p))
     return EXIT_OK
 

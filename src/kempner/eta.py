@@ -11,18 +11,18 @@ property directly so the closed-form path can be cross-checked, and
 `eta_p_preimage` inverts eta_p on its image.
 
 Validation happens once, at the public boundary: `eta_p`, `eta_p_oracle`
-and `eta_p_preimage` prove their prime and check their ranges, and `eta`
-trusts the primes of its `Factorization` (each `PrimePower` proved its own
-on construction) but still checks the p*k range. The kernel `_eta_p`
-trusts its arguments entirely and checks nothing.
+and `eta_p_preimage` check their prime through `number_core._require_prime`,
+and all p*k bounds go through `_check_range`. `eta` trusts the primes of
+its `Factorization` (each `PrimePower` proved its own on construction) but
+still checks the p*k range. The kernel `_eta_p` trusts its arguments
+entirely and checks nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotPrimeError
-from .number_core import INT64_MAX, Factorization, is_prime, legendre_valuation
+from .number_core import INT64_MAX, Factorization, _require_prime, legendre_valuation
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,8 @@ def _eta_p(k: int, p: int) -> int:
     the repunit a_n = (p^n - 1)/(p - 1) added as t * p^n on the spot. One
     place down is a floor division by p of both: a_n // p = a_{n-1} since
     a_n = p*a_{n-1} + 1, and the last place, a_1 = 1, takes the remainder.
+    It repeats `decompose`'s walk on purpose: a shared digit kernel was
+    measured slower on the `table` and `factored` benchmark workloads.
     """
     repunit, power = 1, p
     while repunit * p < k:  # a_{n+1} = p*a_n + 1 <= k
@@ -83,8 +85,7 @@ def eta_p(k: int, p: int) -> int:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not is_prime(p):
-        raise NotPrimeError(p)
+    _require_prime(p)
     _check_range(k, p)
     return _eta_p(k, p)
 
@@ -98,10 +99,8 @@ def eta_p_oracle(k: int, p: int) -> int:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not is_prime(p):
-        raise NotPrimeError(p)
-    if p * k > INT64_MAX:
-        raise OverflowError(f"search bound p*k exceeds the 64-bit range for ({k}, {p})")
+    _require_prime(p)
+    _check_range(k, p)
     hi = p * k
     if legendre_valuation(hi, p) < k:
         raise RuntimeError(f"upper bound {p}*{k} does not reach valuation {k}")
@@ -152,8 +151,7 @@ def eta_p_preimage(m: int, p: int) -> int:
         raise ValueError(f"m must be >= 2, got {m}")
     if m > INT64_MAX:
         raise OverflowError(f"m exceeds the 64-bit limit ({INT64_MAX})")
-    if not is_prime(p):
-        raise NotPrimeError(p)
+    _require_prime(p)
     if m % p != 0:
         raise ValueError(f"{p} does not divide {m}: m is not in the image of eta_{p}")
     k = 0

@@ -8,8 +8,8 @@ beyond 64 bits, which is the whole point of accepting it.
 
 from __future__ import annotations
 
-from .errors import ExprSyntaxError, NotPrimeError, ZeroInputError
-from .number_core import INT64_MAX, Factorization, _proven_power, factorize, is_prime
+from .errors import ExprSyntaxError, ZeroInputError
+from .number_core import INT64_MAX, Factorization, _proven_power, _require_prime, factorize
 
 _DIGITS = frozenset("0123456789")  # str.isdigit() would also admit other scripts
 
@@ -98,8 +98,8 @@ def parse_factored_expr(text: str) -> Factorization:
             raise ValueError(f"exponent must be >= 1, got {exponent} for base {base}")
         if exponent > INT64_MAX:
             raise OverflowError(f"exponent {exponent} exceeds the 64-bit limit")
-        if base not in merged and not is_prime(base):  # proven at its first term
-            raise NotPrimeError(base, "base")
+        if base not in merged:  # proven at its first term
+            _require_prime(base, "base")
         merged[base] = merged.get(base, 0) + exponent
     if any(a > INT64_MAX for a in merged.values()):
         raise OverflowError("merged exponent exceeds the 64-bit limit")

@@ -5,12 +5,15 @@ Public values are bounded by INT64_MAX; internal products may use up to
 128 bits. Anything beyond raises OverflowError instead of silently wrapping
 or silently succeeding with bignums, so the supported range is explicit.
 
-Primality is proven where a prime enters the library: `is_prime` itself,
-`repunit`, and the `PrimePower` constructor. `factorize` proves each prime
-it finds once (trial division yields primes by construction, a cofactor
-below 2^32 with no factor up to 2^16 is prime, and a larger one is proven
-by Miller-Rabin) and builds its `PrimePower`s through `_proven_power`,
-which trusts its caller and skips the constructor's re-proof.
+A prime argument is checked in one place, `_require_prime`, which every
+public entry that takes one calls (`repunit` and the `PrimePower`
+constructor here, and the entries of `repunit_repr`, `eta`, `exprs` and
+`cli`): anything below 2 or composite, negative values included, raises
+`NotPrimeError`. `factorize` proves each prime it finds once (trial
+division yields primes by construction, and `_factor_cofactor` states the
+rule for what is left) and builds its `PrimePower`s through
+`_proven_power`, which trusts its caller and skips the constructor's
+re-proof.
 """
 
 from __future__ import annotations
@@ -81,6 +84,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _require_prime(p: int, context: str = "p") -> None:
+    """Raise NotPrimeError(p, context) unless p is a prime."""
+    if p < 2 or not is_prime(p):
+        raise NotPrimeError(p, context)
+
+
 def repunit(p: int, n: int) -> int:
     """Generalized repunit 1 + p + ... + p^(n-1) = (p^n - 1)/(p - 1).
 
@@ -89,8 +98,7 @@ def repunit(p: int, n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if p < 2 or not is_prime(p):
-        raise NotPrimeError(p)
+    _require_prime(p)
     if n > 127:  # p >= 2, so p^n >= 2^n already too big
         raise OverflowError(f"p^n exceeds 128-bit range for p={p}, n={n}")
     power = p**n
@@ -124,8 +132,7 @@ class PrimePower:
     exponent: int
 
     def __post_init__(self):
-        if not is_prime(self.prime):
-            raise NotPrimeError(self.prime, "prime")
+        _require_prime(self.prime, "prime")
         if self.exponent < 1:
             raise ValueError(f"exponent must be >= 1, got {self.exponent}")
 
@@ -198,10 +205,8 @@ def _pollard_rho(n: int) -> int:
 
 
 def _factor_cofactor(n: int, acc: dict[int, int]) -> None:
-    # n has no prime factor <= 2^16 here
-    if n == 1:
-        return
-    if is_prime(n):
+    # n > 1 has no prime factor <= 2^16, so below 2^32 it is prime
+    if n < (1 << 32) or is_prime(n):
         acc[n] = acc.get(n, 0) + 1
         return
     d = _pollard_rho(n)
@@ -231,11 +236,7 @@ def factorize(n: int) -> Factorization:
             exponents[p] = exponents.get(p, 0) + 1
             m //= p
     if m > 1:
-        if m < (1 << 32) or is_prime(m):
-            # below 2^32 the cofactor must be prime: no factor <= 2^16 remains
-            exponents[m] = exponents.get(m, 0) + 1
-        else:
-            _factor_cofactor(m, exponents)
+        _factor_cofactor(m, exponents)
     factors = tuple(_proven_power(p, a) for p, a in sorted(exponents.items()))
     return Factorization(sign, factors)
 

@@ -4,7 +4,8 @@ Every k >= 1 is a sum t_1*a_{n_1} + ... + t_l*a_{n_l} over the repunits
 a_n = (p^n - 1)/(p - 1), with strictly decreasing exponents, digits in
 1..p-1 except the final digit which may reach p. `decompose` builds the
 representation greedily; `enumerate_all_representations` is the brute-force
-uniqueness oracle.
+uniqueness oracle. Both check p through `number_core._require_prime`, which
+for `decompose` is the `RepunitDecomposition` constructor's one proof.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotPrimeError, SearchBudgetError
-from .number_core import is_prime, repunit
+from .number_core import _require_prime, repunit
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,7 @@ class RepunitDecomposition:
     terms: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise NotPrimeError(self.p)
+        _require_prime(self.p)
         if len(self.terms) < 1:
             raise ValueError("a decomposition has at least one term")
         exponents = [n for n, _ in self.terms]
@@ -44,38 +44,31 @@ class RepunitDecomposition:
             raise ValueError(f"final digit must be in 1..{self.p}, got {last}")
 
 
-def _repunits_up_to(p: int, k: int) -> list[int]:
-    """Repunits a_1, a_2, ... of base p, stopping at the first one > k."""
-    table = [1]
-    while table[-1] <= k:
-        table.append(p * table[-1] + 1)
-    return table  # table[i] == repunit(p, i+1); last entry exceeds k
-
-
 def decompose(k: int, p: int) -> RepunitDecomposition:
     """The unique repunit-base representation of k >= 1 for prime p.
 
     Greedy: take the largest repunit a_n <= remainder, digit = remainder
-    // a_n, and repeat on the rest. The base's carry structure guarantees
-    the greedy digits always satisfy the invariants, so any violation is
-    surfaced as a bug by the dataclass check rather than clamped. That
-    check is also the one primality proof of p.
+    // a_n, and repeat on the rest, one place down at a time: a_n // p =
+    a_{n-1} since a_n = p*a_{n-1} + 1. The base's carry structure
+    guarantees the greedy digits always satisfy the invariants, so any
+    violation is surfaced as a bug by the dataclass check rather than
+    clamped. That check is also the one primality proof of p.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k} (no representation exists)")
-    # the repunit table never ends for p < 2, so those are rejected here
-    # (is_prime raises its own error for p < 0); the dataclass proves the rest
-    if p < 2 and not is_prime(p):
+    if p < 2:  # the walk up the repunits would never end
         raise NotPrimeError(p)
-    table = _repunits_up_to(p, k)
+    a, n = 1, 1  # the repunit a_n
+    while a * p < k:  # a_{n+1} = p*a_n + 1 <= k
+        a = a * p + 1
+        n += 1
     terms = []
-    remainder = k
-    index = len(table) - 2  # largest index with table[index] <= k
-    while remainder > 0:
-        while table[index] > remainder:
-            index -= 1
-        digit, remainder = divmod(remainder, table[index])
-        terms.append((index + 1, digit))
+    while k:
+        digit, k = divmod(k, a)
+        if digit:
+            terms.append((n, digit))
+        a //= p
+        n -= 1
     return RepunitDecomposition(p, tuple(terms))
 
 
@@ -95,8 +88,7 @@ def enumerate_all_representations(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not is_prime(p):
-        raise NotPrimeError(p)
+    _require_prime(p)
     repunits = [repunit(p, n) for n in range(1, max_exponent + 1)]
     # reachable[n] = sum of (p-1)*a_j over exponents 1..n; the one possible
     # digit-p bonus (at most one extra a_j, on the final term) is added at

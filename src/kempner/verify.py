@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .applications import prime_characterization_scan, solve_trailing_zeros, trailing_zeros
-from .eta import eta, eta_oracle, eta_p, eta_p_oracle, eta_p_preimage
+from .eta import _eta_p, eta, eta_oracle, eta_p, eta_p_oracle, eta_p_preimage
 from .number_core import factorize, first_primes
 from .repunit_repr import decompose, recompose
 
@@ -94,11 +94,11 @@ def check_divisibility_minimality(cfg: VerifyConfig) -> CheckOutcome:
 
 def check_monotone_and_non_injective(cfg: VerifyConfig) -> CheckOutcome:
     failures = []
-    for p in first_primes(cfg.prime_count):
-        previous = eta_p(1, p)
+    for p in first_primes(cfg.prime_count):  # primes by construction: no proof needed
+        previous = _eta_p(1, p)
         collision = False
         for k in range(2, cfg.max_n + 1):
-            current = eta_p(k, p)
+            current = _eta_p(k, p)
             if current < previous:
                 failures.append(f"eta_{p}({k})={current} < eta_{p}({k - 1})={previous}")
             if current == previous:

@@ -170,3 +170,5 @@ def test_table_domain():
         list(emit_table(5, 4, "plain"))
     with pytest.raises(ValueError):
         list(emit_table(1, 5, "yaml"))
+    with pytest.raises(OverflowError):
+        next(emit_table(2**63 - 2, 2**63 + 1, "plain"))

@@ -69,6 +69,11 @@ def test_eta_p_and_valuation(capsys):
     assert invoke(capsys, "valuation", "10", "6") == (1, "", "error: p must be prime, got 6\n")
 
 
+@pytest.mark.parametrize("argv", [("eta-p", "3"), ("decompose", "3"), ("valuation", "10")])
+def test_negative_p_is_not_prime(capsys, argv):
+    assert invoke(capsys, *argv, "-5") == (1, "", "error: p must be prime, got -5\n")
+
+
 def test_decompose_output(capsys):
     code, out, _ = invoke(capsys, "decompose", "27", "3")
     assert code == 0
@@ -130,6 +135,20 @@ def test_table_plain(capsys):
     code, out, _ = invoke(capsys, "table", "5", "5")
     assert code == 0
     assert out == "5 5\n"
+
+
+def test_table_range_is_checked_before_the_first_row(capsys):
+    top = 2**63 - 1
+    assert invoke(capsys, "table", str(top - 1), str(top + 2)) == (
+        1,
+        "",
+        f"error: end exceeds the 64-bit limit ({top}), got {top + 2}\n",
+    )
+    assert invoke(capsys, "table", str(top - 1), str(top)) == (
+        0,
+        f"{top - 1} 2147483647\n{top} 649657\n",
+        "",
+    )
 
 
 def test_usage_errors_exit_2(capsys):

@@ -69,8 +69,11 @@ def test_kernel_at_the_64_bit_edge(p):
         (lambda: decompose(10**6, P31), P31),
         (lambda: eta_p_preimage(P31 * 10**9, P31), P31),
         (lambda: factorize(10**12 + 39), 10**12 + 39),
+        # one Miller-Rabin run finds the cofactor composite; rho's factors
+        # are below 2^32 and so prime without a proof
+        (lambda: factorize(P31**2), P31**2),
     ],
-    ids=["eta_p", "decompose", "eta_p_preimage", "factorize"],
+    ids=["eta_p", "decompose", "eta_p_preimage", "factorize", "factorize_composite_cofactor"],
 )
 def test_public_call_proves_its_prime_once(proofs, call, proven):
     call()
@@ -94,6 +97,9 @@ def test_eta_keeps_the_range_check():
     with pytest.raises(OverflowError) as public_info:
         eta_p(INT64_MAX // 3 + 1, 3)
     assert str(exc_info.value) == str(public_info.value)
+    with pytest.raises(OverflowError) as oracle_info:
+        eta_p_oracle(INT64_MAX // 3 + 1, 3)
+    assert str(oracle_info.value) == str(public_info.value)
 
 
 def test_hand_built_non_primes_still_rejected():
@@ -106,11 +112,16 @@ def test_hand_built_non_primes_still_rejected():
 
 
 def test_decompose_rejects_non_primes_below_two_and_above():
-    for p in (0, 1, 4, 65537 * 3):
+    for p in (-3, 0, 1, 4, 65537 * 3):
         with pytest.raises(NotPrimeError, match=f"p must be prime, got {p}$"):
             decompose(10**9, p)
-    with pytest.raises(ValueError):
-        decompose(10, -3)
+
+
+def test_negative_primes_are_not_prime():
+    with pytest.raises(NotPrimeError, match="prime must be prime, got -5$"):
+        PrimePower(-5, 1)
+    with pytest.raises(NotPrimeError, match="p must be prime, got -5$"):
+        RepunitDecomposition(-5, ((1, 1),))
 
 
 def test_factorize_results_equal_validated_powers():
