@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import SearchBudgetError
-from .eta import EtaResult, eta, eta_p
-from .number_core import INT64_MAX, Factorization, factorize, is_prime, legendre_valuation
+from .eta import EtaResult, _eta_p, _eta_witness, eta, eta_p
+from .number_core import INT64_MAX, Factorization, _factor_range, is_prime, legendre_valuation
 
 TABLE_FORMATS = ("plain", "csv", "json-lines")
 
@@ -85,15 +85,16 @@ def prime_characterization_scan(limit: int, budget: int = 10**6) -> list[int]:
     """Every n in (4, limit] where (eta(n) == n) disagrees with primality.
 
     Expected to return an empty list; a nonempty result means a bug. The
-    bound n > 4 matters: eta(4) = 4 although 4 is composite.
+    bound n > 4 matters: eta(4) = 4 although 4 is composite. eta(n) comes
+    from the range sieve and `is_prime` stays the independent side.
     """
     if limit <= 4:
         raise ValueError(f"limit must be > 4, got {limit}")
     if limit > budget:
         raise SearchBudgetError(f"scan limit {limit} exceeds budget {budget}")
     violations = []
-    for n in range(5, limit + 1):
-        if (eta(factorize(n)).value == n) != is_prime(n):
+    for n, factors in _factor_range(5, limit):
+        if (max(_eta_p(a, p) for p, a in factors) == n) != is_prime(n):
             violations.append(n)
     return violations
 
@@ -121,17 +122,17 @@ def emit_table(start: int, end: int, fmt: str = "plain") -> Iterator[str]:
     if fmt == "csv":
         yield "# convention: eta(1)=0"
         yield "n,eta,argmax_prime"
-    for n in range(start, end + 1):
-        result = eta(factorize(n))
+    # p^a <= n <= INT64_MAX and p*a <= p^a, so no row needs eta's p*k check
+    for n, factors in _factor_range(start, end):
+        value, per_prime, argmax = _eta_witness(factors)
         if fmt == "plain":
-            yield f"{n} {result.value}"
+            yield f"{n} {value}"
         elif fmt == "csv":
-            argmax = "" if result.argmax_prime is None else str(result.argmax_prime)
-            yield f"{n},{result.value},{argmax}"
+            yield f"{n},{value},{'' if argmax is None else argmax}"
         else:
             record = {
                 "n": n,
-                "eta": result.value,
-                "witness": [[p, a, e] for p, a, e in result.per_prime],
+                "eta": value,
+                "witness": [[p, a, e] for p, a, e in per_prime],
             }
             yield json.dumps(record, separators=(",", ":"))

@@ -20,7 +20,7 @@ from .applications import (
 from .errors import SearchBudgetError
 from .eta import eta_p
 from .exprs import _DIGITS, parse_factored_expr
-from .number_core import Factorization, _require_prime, factorize, legendre_valuation, repunit
+from .number_core import Factorization, _repunit, factorize, legendre_valuation
 from .repunit_repr import decompose
 from .verify import VerifyConfig, run_suites
 
@@ -68,15 +68,14 @@ def _cmd_eta_p(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    d = decompose(args.k, args.p)
-    expanded = " + ".join(f"{t}*{repunit(args.p, n)}" for n, t in d.terms)
+    d = decompose(args.k, args.p)  # proves p, so the repunits need not
+    expanded = " + ".join(f"{t}*{_repunit(d.p, n)}" for n, t in d.terms)
     print(f"{args.k} = {expanded}")
     print("terms (exponent, digit):", ", ".join(f"({n}, {t})" for n, t in d.terms))
     return EXIT_OK
 
 
 def _cmd_valuation(args) -> int:
-    _require_prime(args.p)
     print(legendre_valuation(args.m, args.p))
     return EXIT_OK
 

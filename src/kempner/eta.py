@@ -15,14 +15,17 @@ and `eta_p_preimage` check their prime through `number_core._require_prime`,
 and all p*k bounds go through `_check_range`. `eta` trusts the primes of
 its `Factorization` (each `PrimePower` proved its own on construction) but
 still checks the p*k range. The kernel `_eta_p` trusts its arguments
-entirely and checks nothing.
+entirely and checks nothing, and so does `_eta_witness`, the one place
+that picks eta's value and argmax prime out of the per-prime values; the
+table rows in `applications` call it directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .number_core import INT64_MAX, Factorization, _require_prime, legendre_valuation
+from .number_core import INT64_MAX, Factorization, _legendre, _require_prime
 
 
 @dataclass(frozen=True)
@@ -102,16 +105,32 @@ def eta_p_oracle(k: int, p: int) -> int:
     _require_prime(p)
     _check_range(k, p)
     hi = p * k
-    if legendre_valuation(hi, p) < k:
+    if _legendre(hi, p) < k:
         raise RuntimeError(f"upper bound {p}*{k} does not reach valuation {k}")
     lo = 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if legendre_valuation(mid, p) >= k:
+        if _legendre(mid, p) >= k:
             hi = mid
         else:
             lo = mid + 1
     return lo
+
+
+def _eta_witness(
+    factors: Iterable[tuple[int, int]],
+) -> tuple[int, tuple[tuple[int, int, int], ...], int | None]:
+    """(value, per_prime, argmax_prime) of eta over (prime, exponent) pairs
+    in increasing prime order, unchecked: the largest eta_p, the smallest
+    prime on a tie, and (0, (), None) for no pairs."""
+    per_prime = []
+    value, argmax = 0, None
+    for p, a in factors:
+        e = _eta_p(a, p)
+        per_prime.append((p, a, e))
+        if e > value:
+            value, argmax = e, p
+    return value, tuple(per_prime), argmax
 
 
 def eta(n: Factorization) -> EtaResult:
@@ -122,19 +141,14 @@ def eta(n: Factorization) -> EtaResult:
     """
     for f in n.factors:
         _check_range(f.exponent, f.prime)
-    per_prime = tuple((f.prime, f.exponent, _eta_p(f.exponent, f.prime)) for f in n.factors)
-    if not per_prime:
-        return EtaResult(0, (), None)
-    value = max(e for _, _, e in per_prime)
-    argmax = next(p for p, _, e in per_prime if e == value)
-    return EtaResult(value, per_prime, argmax)
+    return EtaResult(*_eta_witness((f.prime, f.exponent) for f in n.factors))
 
 
 def eta_oracle(n: Factorization) -> int:
     """Reference eta: linear scan from 0 for the first m whose factorial
     carries every required prime power. Deliberately unoptimized."""
     m = 0
-    while any(legendre_valuation(m, f.prime) < f.exponent for f in n.factors):
+    while any(_legendre(m, f.prime) < f.exponent for f in n.factors):
         m += 1
     return m
 

@@ -6,21 +6,30 @@ Public values are bounded by INT64_MAX; internal products may use up to
 or silently succeeding with bignums, so the supported range is explicit.
 
 A prime argument is checked in one place, `_require_prime`, which every
-public entry that takes one calls (`repunit` and the `PrimePower`
-constructor here, and the entries of `repunit_repr`, `eta`, `exprs` and
-`cli`): anything below 2 or composite, negative values included, raises
-`NotPrimeError`. `factorize` proves each prime it finds once (trial
-division yields primes by construction, and `_factor_cofactor` states the
-rule for what is left) and builds its `PrimePower`s through
-`_proven_power`, which trusts its caller and skips the constructor's
-re-proof.
+public entry that takes one calls (`repunit`, `legendre_valuation` and the
+`PrimePower` constructor here, and the entries of `repunit_repr`, `eta`
+and `exprs`): anything below 2 or composite, negative values included,
+raises `NotPrimeError`. The private twins `_repunit` and `_legendre` skip
+that proof for callers that already hold a proven prime. `factorize`
+proves each prime it finds once (trial division yields primes by
+construction, and `_factor_cofactor` states the rule for what is left)
+and builds its `PrimePower`s through `_proven_power`, which trusts its
+caller and skips the constructor's re-proof.
+
+`_factor_range` factors a whole range [start, end] for `table` and the
+prime scan: a segmented sieve of Eratosthenes (Bays & Hudson, BIT 17,
+1977) divides each base prime out of its multiples, and what is left of
+each n goes through `_factor_cofactor`, the same cofactor rule as
+`factorize`.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
+from typing import Iterator
 
 from .errors import NotPrimeError, ZeroInputError
 
@@ -96,9 +105,14 @@ def repunit(p: int, n: int) -> int:
     Satisfies repunit(p, 1) == 1 and repunit(p, n+1) == p*repunit(p, n) + 1.
     Raises OverflowError once p^n leaves the 128-bit intermediate range.
     """
+    _require_prime(p)
+    return _repunit(p, n)
+
+
+def _repunit(p: int, n: int) -> int:
+    """repunit(p, n) for a prime the caller has already proven."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _require_prime(p)
     if n > 127:  # p >= 2, so p^n >= 2^n already too big
         raise OverflowError(f"p^n exceeds 128-bit range for p={p}, n={n}")
     power = p**n
@@ -110,12 +124,19 @@ def repunit(p: int, n: int) -> int:
 def legendre_valuation(m: int, p: int) -> int:
     """Exponent of the prime p in m!, i.e. sum of floor(m / p^i) for i >= 1.
 
-    Total on m >= 0; the sum has at most log_p(m) nonzero terms.
+    Defined for 0 <= m <= INT64_MAX; the sum has at most log_p(m) nonzero
+    terms.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if p < 2:
-        raise ValueError(f"p must be a prime >= 2, got {p}")
+    if m > INT64_MAX:
+        raise OverflowError(f"m exceeds the 64-bit limit ({INT64_MAX}), got {m}")
+    _require_prime(p)
+    return _legendre(m, p)
+
+
+def _legendre(m: int, p: int) -> int:
+    """legendre_valuation(m, p) with its arguments unchecked."""
     total = 0
     q = m // p
     while q:
@@ -205,7 +226,7 @@ def _pollard_rho(n: int) -> int:
 
 
 def _factor_cofactor(n: int, acc: dict[int, int]) -> None:
-    # n > 1 has no prime factor <= 2^16, so below 2^32 it is prime
+    # n > 1 has no prime factor <= min(2^16, sqrt(n)), so below 2^32 it is prime
     if n < (1 << 32) or is_prime(n):
         acc[n] = acc.get(n, 0) + 1
         return
@@ -239,6 +260,38 @@ def factorize(n: int) -> Factorization:
         _factor_cofactor(m, exponents)
     factors = tuple(_proven_power(p, a) for p, a in sorted(exponents.items()))
     return Factorization(sign, factors)
+
+
+_SEGMENT = 1 << 12  # numbers per sieve segment, which bounds memory near 2^63
+
+
+def _factor_range(start: int, end: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """(n, [(prime, exponent), ...]) for each n in [start, end], primes increasing.
+
+    For 1 <= start <= end <= INT64_MAX, unchecked. Each segment divides
+    the base primes up to min(2^16, sqrt(end)) out of their multiples;
+    what is left of an n then has no prime factor up to min(2^16, sqrt(n))
+    and goes to `_factor_cofactor`, whose primes all exceed the base ones.
+    """
+    base = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, min(1 << 16, isqrt(end)))]
+    for lo in range(start, end + 1, _SEGMENT):
+        size = min(_SEGMENT, end + 1 - lo)
+        rest = list(range(lo, lo + size))
+        found: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+        for p in base:
+            for i in range(-lo % p, size, p):
+                m, a = rest[i] // p, 1
+                while m % p == 0:
+                    m //= p
+                    a += 1
+                rest[i] = m
+                found[i].append((p, a))
+        for n, m, factors in zip(range(lo, lo + size), rest, found):
+            if m > 1:
+                acc: dict[int, int] = {}
+                _factor_cofactor(m, acc)
+                factors.extend(sorted(acc.items()))
+            yield n, factors
 
 
 def first_primes(count: int) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotPrimeError, SearchBudgetError
-from .number_core import _require_prime, repunit
+from .number_core import _repunit, _require_prime
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,12 @@ def decompose(k: int, p: int) -> RepunitDecomposition:
 
 
 def recompose(d: RepunitDecomposition) -> int:
-    """Inverse of decompose: the sum of digit * repunit(p, exponent)."""
-    return sum(t * repunit(d.p, n) for n, t in d.terms)
+    """Inverse of decompose: the sum of digit * repunit(p, exponent).
+
+    The decomposition proved d.p on construction, so the repunits skip the
+    public re-proof.
+    """
+    return sum(t * _repunit(d.p, n) for n, t in d.terms)
 
 
 def enumerate_all_representations(
@@ -89,7 +93,7 @@ def enumerate_all_representations(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _require_prime(p)
-    repunits = [repunit(p, n) for n in range(1, max_exponent + 1)]
+    repunits = [_repunit(p, n) for n in range(1, max_exponent + 1)]
     # reachable[n] = sum of (p-1)*a_j over exponents 1..n; the one possible
     # digit-p bonus (at most one extra a_j, on the final term) is added at
     # the prune site

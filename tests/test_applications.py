@@ -122,6 +122,10 @@ def test_prime_characterization_scan_is_clean():
     assert prime_characterization_scan(10_000) == []
 
 
+def test_prime_characterization_scan_to_10_5_is_clean():
+    assert prime_characterization_scan(10**5) == []
+
+
 def test_prime_characterization_scan_domain():
     with pytest.raises(ValueError):
         prime_characterization_scan(4)

@@ -67,6 +67,12 @@ def test_eta_p_and_valuation(capsys):
     assert invoke(capsys, "eta-p", "13", "7") == (0, "84\n", "")
     assert invoke(capsys, "valuation", "4005", "5") == (0, "1000\n", "")
     assert invoke(capsys, "valuation", "10", "6") == (1, "", "error: p must be prime, got 6\n")
+    assert invoke(capsys, "valuation", "10", "4") == (1, "", "error: p must be prime, got 4\n")
+    assert invoke(capsys, "valuation", "100000000000000000000000", "5") == (
+        1,
+        "",
+        "error: m exceeds the 64-bit limit (9223372036854775807), got 100000000000000000000000\n",
+    )
 
 
 @pytest.mark.parametrize("argv", [("eta-p", "3"), ("decompose", "3"), ("valuation", "10")])

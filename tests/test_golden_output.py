@@ -17,6 +17,13 @@ TABLE_DIGESTS = {
     "json-lines": "d6a573bbaf227eb93d71019e0df86f38e8d8c72ba1ab9035fcfabf9e217dec58",
 }
 
+# 400 rows from 10^12, the first table range whose cofactors exceed 2^32
+FAR_TABLE_DIGESTS = {
+    "plain": "b13f1a5cfd24aeef2f84dbc31fbab04be8262f4475cb8911ab791c8e234f4443",
+    "csv": "46c07429b48c236b15e94d935fb8905e80926c89e7c47dc18d9bb455956482f7",
+    "json-lines": "e8ed4244f58418d99b550c2b998a95912147e9c0bd5dc9c405deb564f8c6e5fd",
+}
+
 VERIFY_OUTPUT = """\
 ok   eta_p equals search oracle (10 primes x k<=500)
 ok   decompose/recompose round-trip (10 primes x k<=500)
@@ -35,6 +42,14 @@ def test_table_one_to_5000_digest(capsys, fmt):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == TABLE_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(FAR_TABLE_DIGESTS))
+def test_table_from_10_12_digest(capsys, fmt):
+    assert run(["table", "1000000000000", "1000000000399", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == FAR_TABLE_DIGESTS[fmt]
 
 
 def test_default_verify_text(capsys):

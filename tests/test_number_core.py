@@ -16,6 +16,7 @@ from kempner import (
     legendre_valuation,
     repunit,
 )
+from kempner.number_core import _factor_range
 
 FIRST_TEN_PRIMES = first_primes(10)
 
@@ -124,6 +125,20 @@ def test_legendre_rejects_negative():
         legendre_valuation(-1, 2)
 
 
+@pytest.mark.parametrize("p", [-5, 0, 1, 4, 9, 65537 * 3])
+def test_legendre_rejects_non_primes(p):
+    with pytest.raises(NotPrimeError, match=f"p must be prime, got {p}$"):
+        legendre_valuation(10, p)
+
+
+def test_legendre_keeps_the_64_bit_contract():
+    assert legendre_valuation(INT64_MAX, 2) == INT64_MAX - bin(INT64_MAX).count("1")
+    with pytest.raises(OverflowError, match=r"m exceeds the 64-bit limit \(9223372036854775807\)"):
+        legendre_valuation(INT64_MAX + 1, 2)
+    with pytest.raises(OverflowError):
+        legendre_valuation(10**22, 5)
+
+
 # --- is_prime ----------------------------------------------------------------
 
 
@@ -209,6 +224,33 @@ def test_factorize_round_trip_sampled(n):
     f = factorize(n)
     assert f.value() == n
     assert all(is_prime(pp.prime) for pp in f.factors)
+
+
+# --- _factor_range ----------------------------------------------------------
+
+P31 = 2**31 - 1
+
+
+@pytest.mark.parametrize(
+    "start, end",
+    [
+        (1, 10_000),  # crosses two segment boundaries
+        (2**32 - 1000, 2**32 + 1000),
+        (65521**2 - 50, 65521**2 + 50),  # square of the largest base prime
+        (65537**2 - 50, 65537**2 + 50),  # square of the first prime above it
+        (P31**2 - 20, P31**2 + 20),
+        (10**12 + 1, 10**12 + 5000),  # unaligned start, cofactors above 2^32
+        (INT64_MAX - 299, INT64_MAX),
+        (1, 1),
+        (2, 2),
+    ],
+)
+def test_factor_range_matches_factorize(start, end):
+    expected = [
+        (n, [(pp.prime, pp.exponent) for pp in factorize(n).factors])
+        for n in range(start, end + 1)
+    ]
+    assert list(_factor_range(start, end)) == expected
 
 
 # --- dataclass invariants ------------------------------------------------------

@@ -22,6 +22,7 @@ from kempner import (
     eta_p_preimage,
     factorize,
     parse_factored_expr,
+    recompose,
     smallest_factorial_multiple,
 )
 from kempner import number_core
@@ -72,8 +73,17 @@ def test_kernel_at_the_64_bit_edge(p):
         # one Miller-Rabin run finds the cofactor composite; rho's factors
         # are below 2^32 and so prime without a proof
         (lambda: factorize(P31**2), P31**2),
+        # the decomposition proves 3 once and recompose trusts it
+        (lambda: recompose(decompose(10**6, 3)), 3),
     ],
-    ids=["eta_p", "decompose", "eta_p_preimage", "factorize", "factorize_composite_cofactor"],
+    ids=[
+        "eta_p",
+        "decompose",
+        "eta_p_preimage",
+        "factorize",
+        "factorize_composite_cofactor",
+        "recompose_decompose",
+    ],
 )
 def test_public_call_proves_its_prime_once(proofs, call, proven):
     call()
