@@ -5,13 +5,12 @@ characterization scan, and table emission for regression and cross-checks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import SearchBudgetError
 from .eta import EtaResult, _eta_p, _eta_witness, eta, eta_p
-from .number_core import INT64_MAX, Factorization, _factor_range, is_prime, legendre_valuation
+from .number_core import INT64_MAX, Factorization, _factor_range, _legendre, is_prime
 
 TABLE_FORMATS = ("plain", "csv", "json-lines")
 
@@ -50,7 +49,9 @@ def trailing_zeros(m: int) -> int:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    return legendre_valuation(m, 5)
+    if m > INT64_MAX:
+        raise OverflowError(f"m exceeds the 64-bit limit ({INT64_MAX}), got {m}")
+    return _legendre(m, 5)
 
 
 def solve_trailing_zeros(z: int) -> ZerosSolution:
@@ -130,9 +131,5 @@ def emit_table(start: int, end: int, fmt: str = "plain") -> Iterator[str]:
         elif fmt == "csv":
             yield f"{n},{value},{'' if argmax is None else argmax}"
         else:
-            record = {
-                "n": n,
-                "eta": value,
-                "witness": [[p, a, e] for p, a, e in per_prime],
-            }
-            yield json.dumps(record, separators=(",", ":"))
+            witness = ",".join(f"[{p},{a},{e}]" for p, a, e in per_prime)
+            yield f'{{"n":{n},"eta":{value},"witness":[{witness}]}}'

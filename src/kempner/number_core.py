@@ -16,11 +16,18 @@ construction, and `_factor_cofactor` states the rule for what is left)
 and builds its `PrimePower`s through `_proven_power`, which trusts its
 caller and skips the constructor's re-proof.
 
-`_factor_range` factors a whole range [start, end] for `table` and the
-prime scan: a segmented sieve of Eratosthenes (Bays & Hudson, BIT 17,
-1977) divides each base prime out of its multiples, and what is left of
-each n goes through `_factor_cofactor`, the same cofactor rule as
-`factorize`.
+`factorize` trial-divides a single n by the primes below 2^10 only; a
+cofactor below 2^20 is then prime (the next prime is 1031 and
+1031^2 > 2^20), and anything larger goes to Miller-Rabin and Brent's rho
+(Brent, BIT 20, 1980). `_factor_range` factors a whole range [start, end]
+for `table` and the prime scan: a segmented sieve of Eratosthenes (Bays &
+Hudson, BIT 17, 1977) divides each base prime up to min(2^16, sqrt(end))
+out of its multiples, so a cofactor below 2^32 is prime. Both hand what is
+left of each n, with their bound, to `_factor_cofactor`, the one cofactor
+rule.
+
+The primes below 2^16 are sieved once at import: `is_prime` answers
+n < 2^16 from them, and `_factor_range` and `first_primes` read them.
 """
 
 from __future__ import annotations
@@ -46,9 +53,11 @@ def _sieve(limit: int) -> tuple[int, ...]:
     return tuple(i for i, f in enumerate(flags) if f)
 
 
-# Trial-division table for factorize(); immutable after construction.
+# Primes below 2^16; immutable after construction.
 SMALL_PRIMES = _sieve(1 << 16)
 _SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
+# factorize's trial divisors, the 172 primes below 2^10
+_TRIAL_PRIMES = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, 1 << 10)]
 
 # Deterministic Miller-Rabin witnesses, exact for all n < 2^64
 # (Jim Sinclair's set, widely reproduced from miller-rabin.appspot.com).
@@ -225,21 +234,26 @@ def _pollard_rho(n: int) -> int:
             return g
 
 
-def _factor_cofactor(n: int, acc: dict[int, int]) -> None:
-    # n > 1 has no prime factor <= min(2^16, sqrt(n)), so below 2^32 it is prime
-    if n < (1 << 32) or is_prime(n):
+def _factor_cofactor(n: int, acc: dict[int, int], proven_below: int) -> None:
+    # n > 1 has no prime factor up to min(t, sqrt(n)), t the caller's last trial
+    # prime, so below proven_below <= (next prime after t)^2 it is prime:
+    # factorize passes 2^20 (t = 1021, then 1031), _factor_range 2^32
+    # (t = 65521, then 65537). Every key of acc is a proven prime, so a factor
+    # already there is not proven again.
+    if n < proven_below or n in acc or is_prime(n):
         acc[n] = acc.get(n, 0) + 1
         return
     d = _pollard_rho(n)
-    _factor_cofactor(d, acc)
-    _factor_cofactor(n // d, acc)
+    _factor_cofactor(d, acc, proven_below)
+    _factor_cofactor(n // d, acc, proven_below)
 
 
 def factorize(n: int) -> Factorization:
     """Unique factorization of a nonzero signed integer with |n| <= INT64_MAX.
 
-    Trial division over primes below 2^16, then Pollard rho with
-    Miller-Rabin certification for the remaining cofactor.
+    Trial division over the primes below 2^10; a remaining cofactor below
+    2^20 is prime, and a larger one is certified by Miller-Rabin or split
+    by Brent's rho.
     """
     if n == 0:
         raise ZeroInputError("0 has no prime factorization (eta is undefined at 0)")
@@ -250,14 +264,14 @@ def factorize(n: int) -> Factorization:
             f"|n| exceeds the 64-bit limit ({INT64_MAX}); supply large inputs in factored form"
         )
     exponents: dict[int, int] = {}
-    for p in SMALL_PRIMES:
+    for p in _TRIAL_PRIMES:
         if p * p > m:
             break
         while m % p == 0:
             exponents[p] = exponents.get(p, 0) + 1
             m //= p
     if m > 1:
-        _factor_cofactor(m, exponents)
+        _factor_cofactor(m, exponents, 1 << 20)
     factors = tuple(_proven_power(p, a) for p, a in sorted(exponents.items()))
     return Factorization(sign, factors)
 
@@ -289,7 +303,7 @@ def _factor_range(start: int, end: int) -> Iterator[tuple[int, list[tuple[int, i
         for n, m, factors in zip(range(lo, lo + size), rest, found):
             if m > 1:
                 acc: dict[int, int] = {}
-                _factor_cofactor(m, acc)
+                _factor_cofactor(m, acc, 1 << 32)
                 factors.extend(sorted(acc.items()))
             yield n, factors
 

@@ -1,5 +1,9 @@
 """Arithmetic primitives against brute-force oracles."""
 
+import random
+from collections import Counter
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +20,7 @@ from kempner import (
     legendre_valuation,
     repunit,
 )
-from kempner.number_core import _factor_range
+from kempner.number_core import SMALL_PRIMES, _factor_range
 
 FIRST_TEN_PRIMES = first_primes(10)
 
@@ -226,6 +230,39 @@ def test_factorize_round_trip_sampled(n):
     assert all(is_prime(pp.prime) for pp in f.factors)
 
 
+# factorize trial-divides by the primes up to 1021 and calls a cofactor below
+# 2^20 prime; these straddle that edge (1031 is the next prime, 1033 the one
+# after), and the pseudoprimes and Carmichael number have no factor <= 1021
+@pytest.mark.parametrize(
+    "n, factors",
+    [
+        (1021**2, [(1021, 2)]),
+        (1031**2, [(1031, 2)]),
+        (1021 * 1031, [(1021, 1), (1031, 1)]),
+        (1031**6, [(1031, 6)]),
+        (1021**2 * 1031, [(1021, 2), (1031, 1)]),
+        (3 * 1031 * 1033 * 65521, [(3, 1), (1031, 1), (1033, 1), (65521, 1)]),
+        (2152302898747, [(6763, 1), (10627, 1), (29947, 1)]),  # strong pseudoprime
+        (3474749660383, [(1303, 1), (16927, 1), (157543, 1)]),  # strong pseudoprime
+        (1171 * 2341 * 3511, [(1171, 1), (2341, 1), (3511, 1)]),  # Chernick Carmichael
+    ],
+)
+def test_factorize_at_the_trial_division_edge(n, factors):
+    assert [(pp.prime, pp.exponent) for pp in factorize(n).factors] == factors
+
+
+def test_factorize_products_of_primes_above_the_trial_divisors():
+    rng = random.Random(20)
+    primes = [p for p in SMALL_PRIMES if p > 1021]
+    for _ in range(2000):
+        n = INT64_MAX + 1
+        while n > INT64_MAX:  # four primes below 2^16 can pass 2^63
+            drawn = rng.choices(primes, k=rng.randint(2, 4))
+            n = prod(drawn)
+        expected = sorted(Counter(drawn).items())
+        assert [(pp.prime, pp.exponent) for pp in factorize(n).factors] == expected, drawn
+
+
 # --- _factor_range ----------------------------------------------------------
 
 P31 = 2**31 - 1
@@ -235,6 +272,8 @@ P31 = 2**31 - 1
     "start, end",
     [
         (1, 10_000),  # crosses two segment boundaries
+        (2**20 - 1000, 2**20 + 1000),  # factorize's cofactor bound
+        (1031**2 - 50, 1031**2 + 50),  # square of the first prime above its trial divisors
         (2**32 - 1000, 2**32 + 1000),
         (65521**2 - 50, 65521**2 + 50),  # square of the largest base prime
         (65537**2 - 50, 65537**2 + 50),  # square of the first prime above it

@@ -21,9 +21,11 @@ from kempner import (
     eta_p_oracle,
     eta_p_preimage,
     factorize,
+    legendre_valuation,
     parse_factored_expr,
     recompose,
     smallest_factorial_multiple,
+    trailing_zeros,
 )
 from kempner import number_core
 from kempner.eta import _eta_p
@@ -66,15 +68,19 @@ def test_kernel_at_the_64_bit_edge(p):
 @pytest.mark.parametrize(
     "call, proven",
     [
-        (lambda: eta_p(10**6, P31), P31),
-        (lambda: decompose(10**6, P31), P31),
-        (lambda: eta_p_preimage(P31 * 10**9, P31), P31),
-        (lambda: factorize(10**12 + 39), 10**12 + 39),
-        # one Miller-Rabin run finds the cofactor composite; rho's factors
-        # are below 2^32 and so prime without a proof
-        (lambda: factorize(P31**2), P31**2),
+        (lambda: eta_p(10**6, P31), [P31]),
+        (lambda: decompose(10**6, P31), [P31]),
+        (lambda: eta_p_preimage(P31 * 10**9, P31), [P31]),
+        (lambda: factorize(10**12 + 39), [10**12 + 39]),
+        # one Miller-Rabin run finds the cofactor composite; rho's first
+        # factor P31 is above 2^20 and is proven, the second is found already
+        # proven and is not proven again
+        (lambda: factorize(P31**2), [P31**2, P31]),
         # the decomposition proves 3 once and recompose trusts it
-        (lambda: recompose(decompose(10**6, 3)), 3),
+        (lambda: recompose(decompose(10**6, 3)), [3]),
+        # 1031^2 > 2^20 is the least composite that trial division below 2^10
+        # leaves: it gets one Miller-Rabin run, its factor 1031 < 2^20 none
+        (lambda: factorize(1031**2), [1031**2]),
     ],
     ids=[
         "eta_p",
@@ -83,11 +89,22 @@ def test_kernel_at_the_64_bit_edge(p):
         "factorize",
         "factorize_composite_cofactor",
         "recompose_decompose",
+        "factorize_cofactor_bound_is_exclusive",
     ],
 )
 def test_public_call_proves_its_prime_once(proofs, call, proven):
     call()
-    assert proofs == [proven]
+    assert proofs == proven
+
+
+def test_trailing_zeros_trusts_the_constant_five(proofs):
+    assert trailing_zeros(10**6) == 249998
+    assert proofs == []
+    with pytest.raises(OverflowError) as exc_info:
+        trailing_zeros(INT64_MAX + 1)
+    with pytest.raises(OverflowError) as public_info:
+        legendre_valuation(INT64_MAX + 1, 5)
+    assert str(exc_info.value) == str(public_info.value)
 
 
 def test_flagship_proves_each_base_once(proofs):
