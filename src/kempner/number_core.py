@@ -28,6 +28,10 @@ rule.
 
 The primes below 2^16 are sieved once at import: `is_prime` answers
 n < 2^16 from them, and `_factor_range` and `first_primes` read them.
+Above 2^16, `is_prime` is deterministic Miller-Rabin sized to n: bases
+2, 7, 61 below 4,759,123,141 and 2, 3, 5, 7, 11 below 2,152,302,898,747
+(each bound is the first strong pseudoprime to its bases; Jaeschke, Math.
+Comp. 61, 1993), then Jim Sinclair's 7 bases, exact below 2^64.
 """
 
 from __future__ import annotations
@@ -59,16 +63,25 @@ _SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
 # factorize's trial divisors, the 172 primes below 2^10
 _TRIAL_PRIMES = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, 1 << 10)]
 
-# Deterministic Miller-Rabin witnesses, exact for all n < 2^64
-# (Jim Sinclair's set, widely reproduced from miller-rabin.appspot.com).
-_MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+# (bound, witnesses): `is_prime` tests n with the first tier where n < bound.
+# The first two bounds are the smallest strong pseudoprimes to their bases
+# (Jaeschke), hence the strict comparison; Sinclair's 7 bases are exact below
+# 2^64 (widely reproduced from miller-rabin.appspot.com).
+_MR_TIERS = (
+    (4_759_123_141, (2, 7, 61)),
+    (2_152_302_898_747, (2, 3, 5, 7, 11)),
+    (INT64_MAX + 1, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+)
 
 
 def is_prime(n: int) -> bool:
     """Exact primality test for 0 <= n <= INT64_MAX.
 
-    Deterministic Miller-Rabin; raises OverflowError above the supported
-    range rather than degrading to a probabilistic answer.
+    n < 2^16 is looked up in the import-time sieve. Above that, deterministic
+    Miller-Rabin with 3 witnesses (2, 7, 61) below 4,759,123,141, 5 (2 to 11)
+    below 2,152,302,898,747 (both bounds from Jaeschke, 1993), and Sinclair's
+    7 up to INT64_MAX. Raises OverflowError above the supported range rather
+    than degrading to a probabilistic answer.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -86,10 +99,12 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
-        a %= n
-        if a == 0:
-            continue
+    for bound, witnesses in _MR_TIERS:
+        if n < bound:
+            break
+    # each witness is below 2^16 <= n or below the previous tier's bound <= n,
+    # so none is 0 mod n
+    for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -221,7 +236,7 @@ def _pollard_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n  # a sign flip of q leaves gcd(q, n) as is
                 g = gcd(q, n)
                 k += m
             r *= 2
@@ -229,7 +244,7 @@ def _pollard_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
         if g != n:
             return g
 

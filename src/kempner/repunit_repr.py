@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotPrimeError, SearchBudgetError
-from .number_core import _repunit, _require_prime
+from .number_core import INT64_MAX, _repunit, _require_prime
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class RepunitDecomposition:
 
 
 def decompose(k: int, p: int) -> RepunitDecomposition:
-    """The unique repunit-base representation of k >= 1 for prime p.
+    """The unique repunit-base representation of 1 <= k <= INT64_MAX for prime p.
 
     Greedy: take the largest repunit a_n <= remainder, digit = remainder
     // a_n, and repeat on the rest, one place down at a time: a_n // p =
@@ -56,6 +56,8 @@ def decompose(k: int, p: int) -> RepunitDecomposition:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k} (no representation exists)")
+    if k > INT64_MAX:  # beyond it, recompose may leave the 128-bit range
+        raise OverflowError(f"k exceeds the 64-bit limit ({INT64_MAX}), got {k}")
     if p < 2:  # the walk up the repunits would never end
         raise NotPrimeError(p)
     a, n = 1, 1  # the repunit a_n

@@ -89,6 +89,24 @@ def test_decompose_output(capsys):
     ]
 
 
+def test_decompose_keeps_the_64_bit_contract(capsys):
+    assert invoke(capsys, "decompose", "9223372036854775807", "2") == (
+        0,
+        "9223372036854775807 = 1*9223372036854775807\nterms (exponent, digit): (63, 1)\n",
+        "",
+    )
+    assert invoke(capsys, "decompose", "9223372036854775808", "2") == (
+        1,
+        "",
+        "error: k exceeds the 64-bit limit (9223372036854775807), got 9223372036854775808\n",
+    )
+    assert invoke(capsys, "decompose", "1" + "0" * 40, "2") == (
+        1,
+        "",
+        f"error: k exceeds the 64-bit limit (9223372036854775807), got {10**40}\n",
+    )
+
+
 def test_factor_output(capsys):
     assert invoke(capsys, "factor", "10")[1] == "2 * 5\n"
     assert invoke(capsys, "factor", "-12")[1] == "-1 * 2^2 * 3\n"

@@ -173,6 +173,54 @@ def test_is_prime_large_values():
     assert not is_prime(m31 * m31)
 
 
+def is_strong_probable_prime(n: int, a: int) -> bool:
+    """One Miller-Rabin round: does odd n > 2 pass base a?"""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+# is_prime's first two witness tiers end at these strong pseudoprimes
+# (Jaeschke, 1993): each passes every base of the tier it ends, so the bound
+# must be exclusive and the next tier must reject it
+TIER_BOUNDS = [
+    (4_759_123_141, (48781, 97561), (2, 7, 61)),
+    (2_152_302_898_747, (6763, 10627, 29947), (2, 3, 5, 7, 11)),
+]
+
+
+@pytest.mark.parametrize("bound, factors, bases", TIER_BOUNDS)
+def test_is_prime_tier_bounds_are_strong_pseudoprimes(bound, factors, bases):
+    assert prod(factors) == bound
+    assert all(is_strong_probable_prime(bound, a) for a in bases)
+    assert not is_prime(bound)
+
+
+def test_is_prime_just_below_the_tier_bounds():
+    # the largest prime below each bound
+    assert trial_division_is_prime(4_759_123_129)
+    assert is_prime(4_759_123_129)
+    assert is_prime(2_152_302_898_729)
+
+
+def test_is_prime_matches_sympy_in_every_tier():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(10)
+    edges = [1 << 16, 4_759_123_141, 2_152_302_898_747, INT64_MAX]
+    for lo, hi in zip(edges, edges[1:]):
+        for _ in range(2000):
+            n = rng.randrange(lo, hi) | 1
+            assert is_prime(n) == sympy.isprime(n), n
+
+
 def test_is_prime_domain():
     with pytest.raises(ValueError):
         is_prime(-7)

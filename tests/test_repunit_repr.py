@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kempner import (
+    INT64_MAX,
     NotPrimeError,
     RepunitDecomposition,
     SearchBudgetError,
@@ -47,6 +48,14 @@ def test_decompose_domain():
         decompose(0, 2)
     with pytest.raises(NotPrimeError):
         decompose(10, 6)
+
+
+def test_decompose_keeps_the_64_bit_contract():
+    for p in (2, 3, 65521, 2**31 - 1, 2**61 - 1):
+        assert recompose(decompose(INT64_MAX, p)) == INT64_MAX
+    for k in (INT64_MAX + 1, 10**40):
+        with pytest.raises(OverflowError, match="k exceeds the 64-bit limit"):
+            decompose(k, 2)
 
 
 def test_recompose_worked_examples():
