@@ -65,6 +65,8 @@ def solve_trailing_zeros(z: int) -> ZerosSolution:
     """
     if z < 0:
         raise ValueError(f"z must be >= 0, got {z}")
+    if z > INT64_MAX // 5:  # eta_5(z) <= 5z must stay within 64 bits
+        raise OverflowError(f"z must be <= {INT64_MAX // 5}, got {z}")
     if z == 0:
         return ZerosSolution(0, (1, 2, 3, 4))
     candidate = eta_p(z, 5)

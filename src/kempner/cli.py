@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .applications import (
@@ -19,7 +20,7 @@ from .applications import (
 )
 from .errors import SearchBudgetError
 from .eta import eta_p
-from .exprs import _DIGITS, parse_factored_expr
+from .exprs import parse_factored_expr
 from .number_core import Factorization, _repunit, factorize, legendre_valuation
 from .repunit_repr import decompose
 from .verify import VerifyConfig, run_suites
@@ -36,8 +37,7 @@ def integer(text: str) -> int:
     int() alone would also take other scripts' digits, '_' separators and
     surrounding whitespace.
     """
-    digits = text[1:] if text.startswith("-") else text
-    if not digits or not _DIGITS.issuperset(digits):
+    if not re.fullmatch(r"-?[0-9]+", text):
         raise ValueError(text)
     return int(text)
 
@@ -98,7 +98,7 @@ def _cmd_factor(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = VerifyConfig(
-        max_k=args.max_k, max_n=args.max_n, prime_count=args.primes, max_zeros=args.max_zeros
+        max_k=args.max_k, max_n=args.max_n, primes=args.primes, max_zeros=args.max_zeros
     )
     outcomes = run_suites(cfg)
     for outcome in outcomes:
@@ -154,7 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run oracle-equivalence and property suites")
     p.add_argument("--max-k", type=integer, default=500)
-    p.add_argument("--max-n", type=integer, default=2000)
+    p.add_argument(
+        "--max-n",
+        type=integer,
+        default=2000,
+        help="largest n of the scans; the time grows quadratically in it",
+    )
     p.add_argument("--primes", type=integer, default=10)
     p.add_argument("--max-zeros", type=integer, default=100)
     p.set_defaults(func=_cmd_verify)

@@ -1,42 +1,27 @@
 """Parser for factored-integer expressions.
 
-Grammar: `[-] base [^ exponent] ( * base [^ exponent] )*`, whitespace
-optional, omitted exponent = 1. A bare decimal (no `^` or `*`) is factored
-on the spot; a factored form must use prime bases but may denote values far
-beyond 64 bits, which is the whole point of accepting it.
+Grammar: `[-] base [^ exponent] ( * base [^ exponent] )*`, omitted exponent
+= 1. Tokens are runs of ASCII digits and the single characters `*^-`; any
+Unicode whitespace (`str.isspace`) may stand between them. A bare decimal
+(no `^` or `*`) is factored on the spot; a factored form must use prime
+bases but may denote values far beyond 64 bits, which is the whole point of
+accepting it.
+
+Syntax errors are `ExprSyntaxError`s carrying a 0-based position. Every
+character is checked before the grammar, so `unexpected character …` and
+`number too long (N digits)` win over the grammar's `empty expression`,
+`expected a base`, `expected an exponent` and `unexpected trailing input`.
 """
 
 from __future__ import annotations
 
+import re
+
 from .errors import ExprSyntaxError, ZeroInputError
 from .number_core import INT64_MAX, Factorization, _proven_power, _require_prime, factorize
 
-_DIGITS = frozenset("0123456789")  # str.isdigit() would also admit other scripts
-
-
-def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            try:
-                value = int(text[i:j])
-            except ValueError:  # only CPython's limit on int-string length
-                raise ExprSyntaxError(f"number too long ({j - i} digits)", i) from None
-            tokens.append(("num", value, i))
-            i = j
-        elif c in "*^-":
-            tokens.append((c, 0, i))
-            i += 1
-        else:
-            raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    return tokens
+# \s is exactly str.isspace; [0-9] keeps out other scripts' digits
+_TOKEN = re.compile(r"[0-9]+|\S")
 
 
 def parse_factored_expr(text: str) -> Factorization:
@@ -46,45 +31,38 @@ def parse_factored_expr(text: str) -> Factorization:
     factored forms get each distinct base proven prime once and repeated
     bases merged by adding exponents.
     """
-    tokens = _tokenize(text)
+    tokens: list[tuple[int | str, int]] = []  # (number or operator, position)
+    for match in _TOKEN.finditer(text):
+        token, at = match.group(), match.start()
+        if token not in "*^-":
+            if not "0" <= token[0] <= "9":
+                raise ExprSyntaxError(f"unexpected character {token!r}", at)
+            try:
+                token = int(token)
+            except ValueError:  # only CPython's limit on int-string length
+                raise ExprSyntaxError(f"number too long ({len(token)} digits)", at) from None
+        tokens.append((token, at))
     if not tokens:
         raise ExprSyntaxError("empty expression", 0)
 
-    pos = 0
-
-    def take_number(what: str) -> tuple[int, int]:
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos][0] != "num":
-            at = tokens[pos][2] if pos < len(tokens) else len(text)
-            raise ExprSyntaxError(f"expected {what}", at)
-        _, value, at = tokens[pos]
-        pos += 1
-        return value, at
-
-    sign = 1
-    if tokens[0][0] == "-":
-        sign = -1
-        pos = 1
-
+    sign, body = (-1, tokens[1:]) if tokens[0][0] == "-" else (1, tokens)
+    if len(body) % 2 == 0:  # ends on an operator, or nothing follows the sign:
+        body.append(("", len(text)))  # the missing operand is reported at the end
     raw_terms: list[tuple[int, int]] = []
-    structured = False  # saw '^' or '*': factored form, not a plain decimal
-    while True:
-        base, _ = take_number("a base")
-        exponent = 1
-        if pos < len(tokens) and tokens[pos][0] == "^":
-            structured = True
-            pos += 1
-            exponent, _ = take_number("an exponent")
-        raw_terms.append((base, exponent))
-        if pos < len(tokens) and tokens[pos][0] == "*":
-            structured = True
-            pos += 1
-            continue
-        break
-    if pos != len(tokens):
-        raise ExprSyntaxError("unexpected trailing input", tokens[pos][2])
+    op = "*"  # the operator before the current operand
+    for i, (token, at) in enumerate(body):  # operand, operator, operand, ...
+        if i % 2:
+            if token != "*" and (token != "^" or op == "^"):
+                raise ExprSyntaxError("unexpected trailing input", at)
+            op = token
+        elif isinstance(token, str):
+            raise ExprSyntaxError("expected an exponent" if op == "^" else "expected a base", at)
+        elif op == "^":
+            raw_terms[-1] = (raw_terms[-1][0], token)
+        else:
+            raw_terms.append((token, 1))
 
-    if not structured:
+    if len(body) == 1:
         value = sign * raw_terms[0][0]
         if value == 0:
             raise ZeroInputError("0 is outside the domain (eta is undefined at 0)")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .applications import prime_characterization_scan, solve_trailing_zeros, trailing_zeros
 from .eta import _eta_p, eta, eta_oracle, eta_p, eta_p_oracle, eta_p_preimage
-from .number_core import factorize, first_primes
+from .number_core import SMALL_PRIMES, factorize, first_primes
 from .repunit_repr import decompose, recompose
 
 
@@ -22,19 +22,21 @@ class VerifyConfig:
 
     max_k: int = 500
     max_n: int = 2000
-    prime_count: int = 10
+    primes: int = 10
     max_zeros: int = 100
 
     def __post_init__(self):
-        for name in ("max_k", "prime_count", "max_zeros"):
+        for name in ("max_k", "primes", "max_zeros"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.primes > len(SMALL_PRIMES):
+            raise ValueError(f"primes must be <= {len(SMALL_PRIMES)}, got {self.primes}")
         # eta_p(k) = p*k for k <= p, so the first collision is
         # eta_p(p + 1) = p^2 = eta_p(p); the prime scan starts at n = 5
-        least = max(5, first_primes(self.prime_count)[-1] + 1)
+        least = max(5, first_primes(self.primes)[-1] + 1)
         if self.max_n < least:
             raise ValueError(
-                f"max_n must be >= {least} for {self.prime_count} primes, got {self.max_n}"
+                f"max_n must be >= {least} for {self.primes} primes, got {self.max_n}"
             )
 
 
@@ -54,7 +56,7 @@ def _outcome(name: str, failures: list[str], scope: str) -> CheckOutcome:
 
 def check_oracle_equivalence(cfg: VerifyConfig) -> CheckOutcome:
     failures = []
-    primes = first_primes(cfg.prime_count)
+    primes = first_primes(cfg.primes)
     for p in primes:
         for k in range(1, cfg.max_k + 1):
             fast, slow = eta_p(k, p), eta_p_oracle(k, p)
@@ -69,7 +71,7 @@ def check_oracle_equivalence(cfg: VerifyConfig) -> CheckOutcome:
 
 def check_repunit_round_trip(cfg: VerifyConfig) -> CheckOutcome:
     failures = []
-    primes = first_primes(cfg.prime_count)
+    primes = first_primes(cfg.primes)
     for p in primes:
         for k in range(1, cfg.max_k + 1):
             back = recompose(decompose(k, p))
@@ -94,7 +96,7 @@ def check_divisibility_minimality(cfg: VerifyConfig) -> CheckOutcome:
 
 def check_monotone_and_non_injective(cfg: VerifyConfig) -> CheckOutcome:
     failures = []
-    for p in first_primes(cfg.prime_count):  # primes by construction: no proof needed
+    for p in first_primes(cfg.primes):  # primes by construction: no proof needed
         previous = _eta_p(1, p)
         collision = False
         for k in range(2, cfg.max_n + 1):
@@ -109,7 +111,7 @@ def check_monotone_and_non_injective(cfg: VerifyConfig) -> CheckOutcome:
     return _outcome(
         "eta_p nondecreasing with collisions",
         failures,
-        f"{cfg.prime_count} primes x k<={cfg.max_n}",
+        f"{cfg.primes} primes x k<={cfg.max_n}",
     )
 
 

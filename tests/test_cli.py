@@ -211,6 +211,25 @@ def test_verify_passes(capsys):
     assert out.count("ok  ") == 7
 
 
+def test_verify_primes_bound_names_the_option(capsys):
+    assert invoke(capsys, "verify", "--primes", "100000") == (
+        1,
+        "",
+        "error: primes must be <= 6542, got 100000\n",
+    )
+
+
+def test_zeros_bound_names_z(capsys):
+    assert invoke(capsys, "zeros", "1844674407370955162") == (
+        1,
+        "",
+        "error: z must be <= 1844674407370955161, got 1844674407370955162\n",
+    )
+    code, out, err = invoke(capsys, "zeros", "1844674407370955161")
+    assert (code, err) == (0, "")
+    assert out == " ".join(str(7378697629483820705 + i) for i in range(5)) + "\n"
+
+
 def test_overflow_is_domain_error(capsys):
     code, _, err = invoke(capsys, "eta", str(2**64))
     assert code == 1

@@ -1,5 +1,6 @@
 """Factored-expression parsing and normalization."""
 
+import sys
 from math import prod
 
 import pytest
@@ -17,6 +18,7 @@ from kempner import (
     first_primes,
     parse_factored_expr,
 )
+from kempner.exprs import _TOKEN
 
 
 def fact(sign, *terms):
@@ -65,24 +67,6 @@ def test_parse_non_prime_base_named():
         parse_factored_expr("2*9")
     with pytest.raises(NotPrimeError):
         parse_factored_expr("1^2")
-
-
-def test_parse_syntax_errors_carry_positions():
-    with pytest.raises(ExprSyntaxError) as exc_info:
-        parse_factored_expr("2^^3")
-    assert exc_info.value.position == 2
-    with pytest.raises(ExprSyntaxError) as exc_info:
-        parse_factored_expr("2*")
-    assert exc_info.value.position == 2
-    with pytest.raises(ExprSyntaxError) as exc_info:
-        parse_factored_expr("x")
-    assert exc_info.value.position == 0
-    with pytest.raises(ExprSyntaxError):
-        parse_factored_expr("")
-    with pytest.raises(ExprSyntaxError):
-        parse_factored_expr("2 3")
-    with pytest.raises(ExprSyntaxError):
-        parse_factored_expr("-")
 
 
 def test_parse_bad_exponent():
@@ -156,3 +140,51 @@ def test_parse_number_beyond_int_string_limit():
         assert "sys." not in str(exc_info.value)
         if isinstance(exc_info.value, ExprSyntaxError):
             assert exc_info.value.position == position
+
+
+# CPython refuses int() of more than its limit of digits (4300 by default)
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("", "empty expression", 0),
+        (" ", "empty expression", 0),
+        ("-", "expected a base", 1),
+        ("--5", "expected a base", 1),
+        ("2^", "expected an exponent", 2),
+        ("2*", "expected a base", 2),
+        ("2^^3", "expected an exponent", 2),
+        ("2^3^4", "unexpected trailing input", 3),
+        ("2 3", "unexpected trailing input", 2),
+        ("5-3", "unexpected trailing input", 1),
+        ("2^3*^", "expected a base", 4),
+        ("x", "unexpected character 'x'", 0),
+        ("2\u00b2", "unexpected character '\u00b2'", 1),
+        # every character is checked before the grammar
+        ("2^^3x", "unexpected character 'x'", 4),
+        pytest.param(
+            "2^^" + "9" * 5000,
+            "number too long (5000 digits)",
+            3,
+            marks=pytest.mark.skipif(
+                not 0 < INT_DIGIT_LIMIT < 5000, reason="no int-string length limit below 5000"
+            ),
+        ),
+    ],
+)
+def test_parse_syntax_error_contract(text, message, position):
+    with pytest.raises(ExprSyntaxError) as exc_info:
+        parse_factored_expr(text)
+    assert type(exc_info.value) is ExprSyntaxError
+    assert str(exc_info.value) == f"{message} (at position {position})"
+    assert exc_info.value.position == position
+
+
+def test_whitespace_is_exactly_str_isspace():
+    # U+3000 (ideographic space) is the last code point with isspace()
+    assert not any(chr(c).isspace() for c in range(0x3001, sys.maxunicode + 1))
+    for c in range(0x3001):
+        assert (_TOKEN.match(chr(c)) is None) == chr(c).isspace(), hex(c)
+    assert parse_factored_expr("2 *\u30003") == fact(1, (2, 1), (3, 1))
