@@ -9,10 +9,11 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import SearchBudgetError
-from .eta import EtaResult, _eta_p, _eta_witness, eta, eta_p
-from .number_core import INT64_MAX, Factorization, _factor_range, _legendre, is_prime
+from .eta import EtaResult, _eta_p, _eta_witness, eta
+from .number_core import INT64_MAX, Factorization, _check_int, _factor_range, _legendre, is_prime
 
 TABLE_FORMATS = ("plain", "csv", "json-lines")
+SCAN_LIMIT = 10**6  # the largest limit prime_characterization_scan takes
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,7 @@ def trailing_zeros(m: int) -> int:
     Factors of 5 are scarcer than factors of 2 in a factorial, so this is
     just the 5-adic valuation of m!.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if m > INT64_MAX:
-        raise OverflowError(f"m exceeds the 64-bit limit ({INT64_MAX}), got {m}")
+    _check_int("m", m, 1)
     return _legendre(m, 5)
 
 
@@ -63,18 +61,17 @@ def solve_trailing_zeros(z: int) -> ZerosSolution:
     factorial attains z and the solution is empty; otherwise it is the five
     integers up to the next multiple of 5.
     """
-    if z < 0:
-        raise ValueError(f"z must be >= 0, got {z}")
+    _check_int("z", z, 0)
     if z > INT64_MAX // 5:  # eta_5(z) <= 5z must stay within 64 bits
         raise OverflowError(f"z must be <= {INT64_MAX // 5}, got {z}")
     if z == 0:
         return ZerosSolution(0, (1, 2, 3, 4))
-    candidate = eta_p(z, 5)
-    if eta_p(z, 2) > candidate:
+    candidate = _eta_p(z, 5)  # 1 <= z and 5z <= INT64_MAX, as eta_p requires
+    if _eta_p(z, 2) > candidate:
         raise RuntimeError(f"eta_2({z}) > eta_5({z}): 2-adic side cannot dominate")
-    if trailing_zeros(candidate) != z:
+    if _legendre(candidate, 5) != z:
         return ZerosSolution(z, ())
-    if trailing_zeros(candidate + 5) <= z:
+    if _legendre(candidate + 5, 5) <= z:
         raise RuntimeError(f"zero count fails to increase after {candidate + 4}")
     return ZerosSolution(z, tuple(range(candidate, candidate + 5)))
 
@@ -84,7 +81,7 @@ def smallest_factorial_multiple(n: Factorization) -> EtaResult:
     return eta(n)
 
 
-def prime_characterization_scan(limit: int, budget: int = 10**6) -> list[int]:
+def prime_characterization_scan(limit: int) -> list[int]:
     """Every n in (4, limit] where (eta(n) == n) disagrees with primality.
 
     Expected to return an empty list; a nonempty result means a bug. The
@@ -93,8 +90,8 @@ def prime_characterization_scan(limit: int, budget: int = 10**6) -> list[int]:
     """
     if limit <= 4:
         raise ValueError(f"limit must be > 4, got {limit}")
-    if limit > budget:
-        raise SearchBudgetError(f"scan limit {limit} exceeds budget {budget}")
+    if limit > SCAN_LIMIT:
+        raise SearchBudgetError(f"scan limit {limit} exceeds budget {SCAN_LIMIT}")
     violations = []
     for n, factors in _factor_range(5, limit):
         if (max(_eta_p(a, p) for p, a in factors) == n) != is_prime(n):
@@ -114,12 +111,8 @@ def emit_table(start: int, end: int, fmt: str = "plain") -> Iterator[str]:
     eta(1) = 0 here; widely published tables start at 1 instead, hence the
     csv convention marker.
     """
-    if start < 1:
-        raise ValueError(f"start must be >= 1, got {start}")
-    if end < start:
-        raise ValueError(f"end must be >= start, got {start}..{end}")
-    if end > INT64_MAX:
-        raise OverflowError(f"end exceeds the 64-bit limit ({INT64_MAX}), got {end}")
+    _check_int("start", start, 1)
+    _check_int("end", end, start)
     if fmt not in TABLE_FORMATS:
         raise ValueError(f"format must be one of {TABLE_FORMATS}, got {fmt!r}")
     if fmt == "csv":

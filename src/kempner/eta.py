@@ -10,14 +10,14 @@ search oracles (`eta_p_oracle`, `eta_oracle`) that realize the defining
 property directly so the closed-form path can be cross-checked, and
 `eta_p_preimage` inverts eta_p on its image.
 
-Validation happens once, at the public boundary: `eta_p`, `eta_p_oracle`
-and `eta_p_preimage` check their prime through `number_core._require_prime`,
-and all p*k bounds go through `_check_range`. `eta` trusts the primes of
-its `Factorization` (each `PrimePower` proved its own on construction) but
-still checks the p*k range. The kernel `_eta_p` trusts its arguments
-entirely and checks nothing, and so does `_eta_witness`, the one place
-that picks eta's value and argmax prime out of the per-prime values; the
-table rows in `applications` call it directly.
+Validation happens once, at the public boundary: `eta_p`, `eta_p_oracle` and
+`eta_p_preimage` check k or m through `number_core._check_int` and p through
+`_require_prime`, and every p*k bound goes through `_check_range`. `eta`
+trusts its `Factorization` (each `PrimePower` checked itself on
+construction) but still checks the p*k range. The kernel `_eta_p` trusts its
+arguments entirely and checks nothing, and so does `_eta_witness`, the one
+place that picks eta's value and argmax prime out of the per-prime values;
+the table rows in `applications` call it directly.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .number_core import INT64_MAX, Factorization, _legendre, _require_prime
+from .number_core import INT64_MAX, Factorization, _check_int, _legendre, _require_prime
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,7 @@ def eta_p(k: int, p: int) -> int:
     Always a multiple of p and at most p*k; that product must fit the
     64-bit range or OverflowError is raised.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_int("k", k, 1)
     _require_prime(p)
     _check_range(k, p)
     return _eta_p(k, p)
@@ -100,8 +99,7 @@ def eta_p_oracle(k: int, p: int) -> int:
     being nondecreasing in m and on v_p((p*k)!) >= k, which is checked
     before searching rather than assumed.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_int("k", k, 1)
     _require_prime(p)
     _check_range(k, p)
     hi = p * k
@@ -161,10 +159,7 @@ def eta_p_preimage(m: int, p: int) -> int:
     nonzero digit at exponent >= 1, which is exactly what makes the digit
     list a valid repunit-base representation, so eta_p maps k back to m.
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    if m > INT64_MAX:
-        raise OverflowError(f"m exceeds the 64-bit limit ({INT64_MAX})")
+    _check_int("m", m, 2)
     _require_prime(p)
     if m % p != 0:
         raise ValueError(f"{p} does not divide {m}: m is not in the image of eta_{p}")

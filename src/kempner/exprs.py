@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import re
 
-from .errors import ExprSyntaxError, ZeroInputError
-from .number_core import INT64_MAX, Factorization, _proven_power, _require_prime, factorize
+from .errors import ExprSyntaxError
+from .number_core import Factorization, _check_int, _proven_power, _require_prime, factorize
 
 # \s is exactly str.isspace; [0-9] keeps out other scripts' digits
 _TOKEN = re.compile(r"[0-9]+|\S")
@@ -63,22 +63,17 @@ def parse_factored_expr(text: str) -> Factorization:
             raw_terms.append((token, 1))
 
     if len(body) == 1:
-        value = sign * raw_terms[0][0]
-        if value == 0:
-            raise ZeroInputError("0 is outside the domain (eta is undefined at 0)")
-        return factorize(value)
+        return factorize(sign * raw_terms[0][0])
 
     merged: dict[int, int] = {}
     for base, exponent in raw_terms:
-        if base > INT64_MAX:
-            raise OverflowError(f"base {base} exceeds the 64-bit limit")
+        _check_int("base", base, 0)  # a base below 2 is refused as not prime
         if exponent < 1:
             raise ValueError(f"exponent must be >= 1, got {exponent} for base {base}")
-        if exponent > INT64_MAX:
-            raise OverflowError(f"exponent {exponent} exceeds the 64-bit limit")
+        _check_int("exponent", exponent, 1)
         if base not in merged:  # proven at its first term
             _require_prime(base, "base")
         merged[base] = merged.get(base, 0) + exponent
-    if any(a > INT64_MAX for a in merged.values()):
-        raise OverflowError("merged exponent exceeds the 64-bit limit")
+    for a in merged.values():
+        _check_int("merged exponent", a, 1)
     return Factorization(sign, tuple(_proven_power(p, a) for p, a in sorted(merged.items())))

@@ -5,16 +5,16 @@ Public values are bounded by INT64_MAX; internal products may use up to
 128 bits. Anything beyond raises OverflowError instead of silently wrapping
 or silently succeeding with bignums, so the supported range is explicit.
 
-A prime argument is checked in one place, `_require_prime`, which every
-public entry that takes one calls (`repunit`, `legendre_valuation` and the
-`PrimePower` constructor here, and the entries of `repunit_repr`, `eta`
-and `exprs`): anything below 2 or composite, negative values included,
-raises `NotPrimeError`. The private twins `_repunit` and `_legendre` skip
-that proof for callers that already hold a proven prime. `factorize`
-proves each prime it finds once (trial division yields primes by
-construction, and `_factor_cofactor` states the rule for what is left)
-and builds its `PrimePower`s through `_proven_power`, which trusts its
-caller and skips the constructor's re-proof.
+The argument rules have two owners, which the public entries here and in
+`repunit_repr`, `eta`, `applications` and `exprs` call: `_require_prime`
+raises `NotPrimeError` below 2 or for a composite, and `_check_int(name,
+value, low)` raises `ValueError` below low and `OverflowError` above
+INT64_MAX, naming the argument and value. The private twins `_repunit` and
+`_legendre` skip the prime proof for callers that already hold a proven
+prime. `factorize` proves each prime it finds once (trial division yields
+primes by construction, and `_factor_cofactor` states the rule for what is
+left) and builds its `PrimePower`s through `_proven_power`, which trusts
+its caller and skips the constructor's re-proof.
 
 `factorize` trial-divides a single n by the primes below 2^10 only; a
 cofactor below 2^20 is then prime (the next prime is 1031 and
@@ -123,6 +123,14 @@ def _require_prime(p: int, context: str = "p") -> None:
         raise NotPrimeError(p, context)
 
 
+def _check_int(name: str, value: int, low: int) -> None:
+    """Raise unless low <= value <= INT64_MAX, naming the argument and value."""
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if value > INT64_MAX:
+        raise OverflowError(f"{name} exceeds the 64-bit limit ({INT64_MAX}), got {value}")
+
+
 def repunit(p: int, n: int) -> int:
     """Generalized repunit 1 + p + ... + p^(n-1) = (p^n - 1)/(p - 1).
 
@@ -151,10 +159,7 @@ def legendre_valuation(m: int, p: int) -> int:
     Defined for 0 <= m <= INT64_MAX; the sum has at most log_p(m) nonzero
     terms.
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if m > INT64_MAX:
-        raise OverflowError(f"m exceeds the 64-bit limit ({INT64_MAX}), got {m}")
+    _check_int("m", m, 0)
     _require_prime(p)
     return _legendre(m, p)
 
@@ -178,8 +183,7 @@ class PrimePower:
 
     def __post_init__(self):
         _require_prime(self.prime, "prime")
-        if self.exponent < 1:
-            raise ValueError(f"exponent must be >= 1, got {self.exponent}")
+        _check_int("exponent", self.exponent, 1)
 
 
 def _proven_power(prime: int, exponent: int) -> PrimePower:
@@ -325,6 +329,7 @@ def _factor_range(start: int, end: int) -> Iterator[tuple[int, list[tuple[int, i
 
 def first_primes(count: int) -> tuple[int, ...]:
     """The first `count` primes in increasing order."""
-    if count <= len(SMALL_PRIMES):
-        return SMALL_PRIMES[:count]
-    raise ValueError(f"count must be <= {len(SMALL_PRIMES)}")
+    _check_int("count", count, 0)
+    if count > len(SMALL_PRIMES):
+        raise ValueError(f"count must be <= {len(SMALL_PRIMES)}, got {count}")
+    return SMALL_PRIMES[:count]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotPrimeError, SearchBudgetError
-from .number_core import INT64_MAX, _repunit, _require_prime
+from .number_core import _check_int, _repunit, _require_prime
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,7 @@ def decompose(k: int, p: int) -> RepunitDecomposition:
     violation is surfaced as a bug by the dataclass check rather than
     clamped. That check is also the one primality proof of p.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k} (no representation exists)")
-    if k > INT64_MAX:  # beyond it, recompose may leave the 128-bit range
-        raise OverflowError(f"k exceeds the 64-bit limit ({INT64_MAX}), got {k}")
+    _check_int("k", k, 1)  # above INT64_MAX, recompose may leave the 128-bit range
     if p < 2:  # the walk up the repunits would never end
         raise NotPrimeError(p)
     a, n = 1, 1  # the repunit a_n
@@ -92,8 +89,7 @@ def enumerate_all_representations(
     Exponents are searched up to max_exponent; the DFS raises
     SearchBudgetError after max_nodes visited nodes.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_int("k", k, 1)
     _require_prime(p)
     repunits = [_repunit(p, n) for n in range(1, max_exponent + 1)]
     # reachable[n] = sum of (p-1)*a_j over exponents 1..n; the one possible

@@ -9,9 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .applications import prime_characterization_scan, solve_trailing_zeros, trailing_zeros
+from .applications import (
+    SCAN_LIMIT,
+    prime_characterization_scan,
+    solve_trailing_zeros,
+    trailing_zeros,
+)
 from .eta import _eta_p, eta, eta_oracle, eta_p, eta_p_oracle, eta_p_preimage
-from .number_core import SMALL_PRIMES, factorize, first_primes
+from .number_core import SMALL_PRIMES, _check_int, factorize, first_primes
 from .repunit_repr import decompose, recompose
 
 
@@ -27,10 +32,10 @@ class VerifyConfig:
 
     def __post_init__(self):
         for name in ("max_k", "primes", "max_zeros"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.primes > len(SMALL_PRIMES):
-            raise ValueError(f"primes must be <= {len(SMALL_PRIMES)}, got {self.primes}")
+            _check_int(name, getattr(self, name), 1)
+        for name, top in (("primes", len(SMALL_PRIMES)), ("max_n", SCAN_LIMIT)):
+            if getattr(self, name) > top:
+                raise ValueError(f"{name} must be <= {top}, got {getattr(self, name)}")
         # eta_p(k) = p*k for k <= p, so the first collision is
         # eta_p(p + 1) = p^2 = eta_p(p); the prime scan starts at n = 5
         least = max(5, first_primes(self.primes)[-1] + 1)
@@ -127,7 +132,7 @@ def check_preimage(cfg: VerifyConfig) -> CheckOutcome:
 
 
 def check_prime_characterization(cfg: VerifyConfig) -> CheckOutcome:
-    failures = [f"n={n}" for n in prime_characterization_scan(cfg.max_n, budget=cfg.max_n)]
+    failures = [f"n={n}" for n in prime_characterization_scan(cfg.max_n)]
     return _outcome("eta(n)=n exactly at primes (n>4)", failures, f"n<={cfg.max_n}")
 
 

@@ -230,6 +230,23 @@ def test_zeros_bound_names_z(capsys):
     assert out == " ".join(str(7378697629483820705 + i) for i in range(5)) + "\n"
 
 
+def test_verify_max_n_is_capped_by_the_prime_scan(capsys):
+    assert invoke(capsys, "verify", "--max-n", "1000001") == (
+        1,
+        "",
+        "error: max_n must be <= 1000000, got 1000001\n",
+    )
+
+
+@pytest.mark.parametrize("argv", [("eta", "0"), ("eta", "-0"), ("factor", "0")])
+def test_zero_has_one_message(capsys, argv):
+    assert invoke(capsys, *argv) == (
+        1,
+        "",
+        "error: 0 has no prime factorization (eta is undefined at 0)\n",
+    )
+
+
 def test_overflow_is_domain_error(capsys):
     code, _, err = invoke(capsys, "eta", str(2**64))
     assert code == 1

@@ -16,19 +16,24 @@ from kempner import (
     PrimePower,
     RepunitDecomposition,
     decompose,
+    emit_table,
+    enumerate_all_representations,
     eta,
     eta_p,
     eta_p_oracle,
     eta_p_preimage,
     factorize,
+    first_primes,
     legendre_valuation,
     parse_factored_expr,
     recompose,
     smallest_factorial_multiple,
+    solve_trailing_zeros,
     trailing_zeros,
 )
 from kempner import number_core
 from kempner.eta import _eta_p
+from kempner.verify import VerifyConfig
 
 P31 = 2**31 - 1
 KERNEL_PRIMES = (2, 3, 5, 7, 97, 65521, P31)
@@ -107,6 +112,11 @@ def test_trailing_zeros_trusts_the_constant_five(proofs):
     assert str(exc_info.value) == str(public_info.value)
 
 
+def test_solve_trailing_zeros_trusts_its_constants(proofs):
+    assert solve_trailing_zeros(1000).members == (4005, 4006, 4007, 4008, 4009)
+    assert proofs == []
+
+
 def test_flagship_proves_each_base_once(proofs):
     f = parse_factored_expr("2^31*3^27*7^13*2")
     assert proofs == [2, 3, 7]  # a repeated base is proven once
@@ -156,3 +166,111 @@ def test_factorize_results_equal_validated_powers():
         f = factorize(n)
         assert f.factors == tuple(PrimePower(pp.prime, pp.exponent) for pp in f.factors)
         assert f.value() == n
+
+
+TOO_BIG = INT64_MAX + 1
+LIMIT = f"exceeds the 64-bit limit ({INT64_MAX}), got {TOO_BIG}"
+
+
+CONTRACT = [  # (id, call, exception type, message)
+    (
+        "legendre_valuation-low",
+        lambda: legendre_valuation(-1, 5),
+        ValueError,
+        "m must be >= 0, got -1",
+    ),
+    (
+        "legendre_valuation-high",
+        lambda: legendre_valuation(TOO_BIG, 5),
+        OverflowError,
+        f"m {LIMIT}",
+    ),
+    ("PrimePower-low", lambda: PrimePower(2, 0), ValueError, "exponent must be >= 1, got 0"),
+    ("PrimePower-high", lambda: PrimePower(2, TOO_BIG), OverflowError, f"exponent {LIMIT}"),
+    ("eta_p-low", lambda: eta_p(0, 5), ValueError, "k must be >= 1, got 0"),
+    ("eta_p-high", lambda: eta_p(TOO_BIG, 5), OverflowError, f"k {LIMIT}"),
+    ("eta_p_oracle-low", lambda: eta_p_oracle(0, 5), ValueError, "k must be >= 1, got 0"),
+    ("eta_p_oracle-high", lambda: eta_p_oracle(TOO_BIG, 5), OverflowError, f"k {LIMIT}"),
+    ("eta_p_preimage-low", lambda: eta_p_preimage(1, 2), ValueError, "m must be >= 2, got 1"),
+    ("eta_p_preimage-high", lambda: eta_p_preimage(TOO_BIG, 2), OverflowError, f"m {LIMIT}"),
+    ("decompose-low", lambda: decompose(0, 2), ValueError, "k must be >= 1, got 0"),
+    ("decompose-high", lambda: decompose(TOO_BIG, 2), OverflowError, f"k {LIMIT}"),
+    (
+        "enumerate_all_representations-low",
+        lambda: enumerate_all_representations(0, 2, 5),
+        ValueError,
+        "k must be >= 1, got 0",
+    ),
+    (
+        "enumerate_all_representations-high",
+        lambda: enumerate_all_representations(TOO_BIG, 2, 5),
+        OverflowError,
+        f"k {LIMIT}",
+    ),
+    ("trailing_zeros-low", lambda: trailing_zeros(0), ValueError, "m must be >= 1, got 0"),
+    ("trailing_zeros-high", lambda: trailing_zeros(TOO_BIG), OverflowError, f"m {LIMIT}"),
+    (
+        "solve_trailing_zeros-low",
+        lambda: solve_trailing_zeros(-1),
+        ValueError,
+        "z must be >= 0, got -1",
+    ),
+    (
+        "solve_trailing_zeros-high",
+        lambda: solve_trailing_zeros(TOO_BIG),
+        OverflowError,
+        f"z {LIMIT}",
+    ),
+    ("emit_table-low", lambda: list(emit_table(0, 5)), ValueError, "start must be >= 1, got 0"),
+    ("emit_table-low2", lambda: list(emit_table(5, 3)), ValueError, "end must be >= 5, got 3"),
+    (
+        "emit_table-high",
+        lambda: list(emit_table(TOO_BIG, TOO_BIG)),
+        OverflowError,
+        f"start {LIMIT}",
+    ),
+    ("emit_table-high2", lambda: list(emit_table(1, TOO_BIG)), OverflowError, f"end {LIMIT}"),
+    ("first_primes-low", lambda: first_primes(-1), ValueError, "count must be >= 0, got -1"),
+    (
+        "first_primes-low2",
+        lambda: first_primes(6543),
+        ValueError,
+        "count must be <= 6542, got 6543",
+    ),
+    ("VerifyConfig-low", lambda: VerifyConfig(max_k=0), ValueError, "max_k must be >= 1, got 0"),
+    ("VerifyConfig-high", lambda: VerifyConfig(max_k=TOO_BIG), OverflowError, f"max_k {LIMIT}"),
+    (
+        "parse_factored_expr-low",
+        lambda: parse_factored_expr("2^0"),
+        ValueError,
+        "exponent must be >= 1, got 0 for base 2",
+    ),
+    (
+        "parse_factored_expr-high",
+        lambda: parse_factored_expr(f"2^{TOO_BIG}"),
+        OverflowError,
+        f"exponent {LIMIT}",
+    ),
+    (
+        "parse_factored_expr-high2",
+        lambda: parse_factored_expr(f"{TOO_BIG}^2"),
+        OverflowError,
+        f"base {LIMIT}",
+    ),
+    (
+        "parse_factored_expr-high3",
+        lambda: parse_factored_expr(f"2^{INT64_MAX}*2"),
+        OverflowError,
+        f"merged exponent {LIMIT}",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", [row[1:] for row in CONTRACT], ids=[row[0] for row in CONTRACT]
+)
+def test_integer_arguments_share_one_contract(call, error, message):
+    with pytest.raises(error) as exc_info:
+        call()
+    assert type(exc_info.value) is error
+    assert str(exc_info.value) == message
