@@ -5,19 +5,25 @@ characterization scan, and table emission for regression and cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import SearchBudgetError
 from .eta import EtaResult, _eta_p, _eta_witness, eta
-from .number_core import INT64_MAX, Factorization, _check_int, _factor_range, _legendre, is_prime
+from .number_core import (
+    INT64_MAX,
+    Factorization,
+    _check_int,
+    _factor_range,
+    _legendre,
+    _Record,
+    is_prime,
+)
 
 TABLE_FORMATS = ("plain", "csv", "json-lines")
 SCAN_LIMIT = 10**6  # the largest limit prime_characterization_scan takes
 
 
-@dataclass(frozen=True)
-class ZerosSolution:
+class ZerosSolution(_Record):
     """All m >= 1 whose factorial ends in exactly z zeros.
 
     members is ascending and contiguous: empty when no factorial attains z
@@ -26,8 +32,12 @@ class ZerosSolution:
     one multiple of 5 up to the next.
     """
 
-    z: int
-    members: tuple[int, ...]
+    __slots__ = __match_args__ = ("z", "members")
+
+    def __init__(self, z: int, members: tuple[int, ...]) -> None:
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "members", members)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.z == 0 and self.members == (1, 2, 3, 4):

@@ -22,14 +22,12 @@ the table rows in `applications` call it directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
-from .number_core import INT64_MAX, Factorization, _check_int, _legendre, _require_prime
+from .number_core import INT64_MAX, Factorization, _check_int, _legendre, _Record, _require_prime
 
 
-@dataclass(frozen=True)
-class EtaResult:
+class EtaResult(_Record):
     """eta(n) with its witness: per-prime values and the prime achieving the max.
 
     per_prime holds (prime, exponent, eta_p(exponent)) triples in increasing
@@ -37,9 +35,15 @@ class EtaResult:
     On a tie the smallest prime is reported.
     """
 
-    value: int
-    per_prime: tuple[tuple[int, int, int], ...]
-    argmax_prime: int | None
+    __slots__ = __match_args__ = ("value", "per_prime", "argmax_prime")
+
+    def __init__(
+        self, value: int, per_prime: tuple[tuple[int, int, int], ...], argmax_prime: int | None
+    ) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "per_prime", per_prime)
+        object.__setattr__(self, "argmax_prime", argmax_prime)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.per_prime:

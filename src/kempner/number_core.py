@@ -9,12 +9,18 @@ The argument rules have two owners, which the public entries here and in
 `repunit_repr`, `eta`, `applications` and `exprs` call: `_require_prime`
 raises `NotPrimeError` below 2 or for a composite, and `_check_int(name,
 value, low)` raises `ValueError` below low and `OverflowError` above
-INT64_MAX, naming the argument and value. The private twins `_repunit` and
+INT64_MAX, naming the argument and value; a would-be prime above INT64_MAX
+gets that same `OverflowError`. The private twins `_repunit` and
 `_legendre` skip the prime proof for callers that already hold a proven
 prime. `factorize` proves each prime it finds once (trial division yields
 primes by construction, and `_factor_cofactor` states the rule for what is
-left) and builds its `PrimePower`s through `_proven_power`, which trusts
-its caller and skips the constructor's re-proof.
+left) and builds its `PrimePower`s through `_proven_power`, which fills the
+record's slots directly and so skips the constructor's re-proof.
+
+The result records of the package (`PrimePower` and `Factorization` here,
+and those of `eta`, `repunit_repr`, `applications` and `verify`) share the
+small base `_Record` rather than `dataclasses`, whose import pulls in
+`inspect` and `ast` and dominated the start-up of a one-shot CLI call.
 
 `factorize` trial-divides a single n by the primes below 2^10 only; a
 cofactor below 2^20 is then prime (the next prime is 1031 and
@@ -26,8 +32,10 @@ out of its multiples, so a cofactor below 2^32 is prime. Both hand what is
 left of each n, with their bound, to `_factor_cofactor`, the one cofactor
 rule.
 
-The primes below 2^16 are sieved once at import: `is_prime` answers
-n < 2^16 from them, and `_factor_range` and `first_primes` read them.
+The numbers up to 2^16 are sieved once at import into an immutable `bytes`
+table of prime flags: `is_prime` answers n < 2^16 by one lookup in it.
+`SMALL_PRIMES`, the primes below 2^16 that `_factor_range` and
+`first_primes` read, is extracted from the table with `itertools.compress`.
 Above 2^16, `is_prime` is deterministic Miller-Rabin sized to n: bases
 2, 7, 61 below 4,759,123,141 and 2, 3, 5, 7, 11 below 2,152,302,898,747
 (each bound is the first strong pseudoprime to its bases; Jaeschke, Math.
@@ -38,9 +46,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterator
+from itertools import compress
 from math import gcd, isqrt
-from typing import Iterator
 
 from .errors import NotPrimeError, ZeroInputError
 
@@ -48,18 +56,20 @@ INT64_MAX = 2**63 - 1
 INT128_MAX = 2**127 - 1
 
 
-def _sieve(limit: int) -> tuple[int, ...]:
+def _sieve(limit: int) -> bytes:
+    """Flags for 0..limit: flags[n] is 1 exactly when n is prime."""
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
-    for i in range(2, int(limit**0.5) + 1):
+    for i in range(2, isqrt(limit) + 1):
         if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return tuple(i for i, f in enumerate(flags) if f)
+            flags[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    return bytes(flags)
 
 
-# Primes below 2^16; immutable after construction.
-SMALL_PRIMES = _sieve(1 << 16)
-_SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
+# Both immutable: the flags for 0..2^16 and the primes below 2^16, which are
+# 2 and the odd n whose flag is set.
+_SMALL_FLAGS = _sieve(1 << 16)
+SMALL_PRIMES = (2, *compress(range(3, len(_SMALL_FLAGS), 2), _SMALL_FLAGS[3::2]))
 # factorize's trial divisors, the 172 primes below 2^10
 _TRIAL_PRIMES = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, 1 << 10)]
 
@@ -90,7 +100,7 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n < (1 << 16):
-        return n in _SMALL_PRIME_SET
+        return _SMALL_FLAGS[n] == 1
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return False
@@ -118,8 +128,11 @@ def is_prime(n: int) -> bool:
 
 
 def _require_prime(p: int, context: str = "p") -> None:
-    """Raise NotPrimeError(p, context) unless p is a prime."""
-    if p < 2 or not is_prime(p):
+    """Raise NotPrimeError(p, context) unless p is a prime, and
+    `_check_int`'s OverflowError naming context above INT64_MAX."""
+    if p < 2 or p > INT64_MAX or not is_prime(p):
+        if p > INT64_MAX:
+            _check_int(context, p, 0)
         raise NotPrimeError(p, context)
 
 
@@ -174,12 +187,55 @@ def _legendre(m: int, p: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class _Record:
+    """Base of kempner's immutable result records.
+
+    A record lists its fields in `__slots__`, which is also its
+    `__match_args__`, and writes out its own `__init__`: that sets each field
+    through `object.__setattr__` and, for a record with a validator, ends by
+    calling `__post_init__`, defined on the class itself so that kbench's
+    tracer can wrap it there for its `.validate` spans. Records compare and
+    hash by their field tuple and print as `Name(field=value, ...)`.
+    Assignment and deletion raise AttributeError, so pickle and copy rebuild
+    a record through its constructor, which validates it again.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class PrimePower(_Record):
     """One p^a term of a factorization; prime is checked on construction."""
 
-    prime: int
-    exponent: int
+    __slots__ = __match_args__ = ("prime", "exponent")
+
+    def __init__(self, prime: int, exponent: int) -> None:
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "exponent", exponent)
+        self.__post_init__()
 
     def __post_init__(self):
         _require_prime(self.prime, "prime")
@@ -187,22 +243,29 @@ class PrimePower:
 
 
 def _proven_power(prime: int, exponent: int) -> PrimePower:
-    """A PrimePower for a prime the caller has already proven and an exponent >= 1."""
+    """A PrimePower for a prime the caller has already proven and an exponent >= 1.
+
+    It fills the same slots as the constructor but skips `__post_init__`,
+    so the prime is not proven a second time.
+    """
     power = object.__new__(PrimePower)
     object.__setattr__(power, "prime", prime)
     object.__setattr__(power, "exponent", exponent)
     return power
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Record):
     """A nonzero integer as sign * p1^a1 * ... * ps^as, primes strictly increasing.
 
     An empty factors tuple represents +1 or -1.
     """
 
-    sign: int
-    factors: tuple[PrimePower, ...]
+    __slots__ = __match_args__ = ("sign", "factors")
+
+    def __init__(self, sign: int, factors: tuple[PrimePower, ...]) -> None:
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "factors", factors)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.sign not in (1, -1):

@@ -10,14 +10,11 @@ for `decompose` is the `RepunitDecomposition` constructor's one proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotPrimeError, SearchBudgetError
-from .number_core import _check_int, _repunit, _require_prime
+from .number_core import _check_int, _Record, _repunit, _require_prime
 
 
-@dataclass(frozen=True)
-class RepunitDecomposition:
+class RepunitDecomposition(_Record):
     """Terms (exponent n_i, digit t_i) of k in the repunit base of p.
 
     Invariants are enforced on construction: at least one term, exponents
@@ -25,8 +22,12 @@ class RepunitDecomposition:
     whose digit may equal p. Zero digits are never stored.
     """
 
-    p: int
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = __match_args__ = ("p", "terms")
+
+    def __init__(self, p: int, terms: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "terms", terms)
+        self.__post_init__()
 
     def __post_init__(self):
         _require_prime(self.p)
@@ -51,7 +52,7 @@ def decompose(k: int, p: int) -> RepunitDecomposition:
     // a_n, and repeat on the rest, one place down at a time: a_n // p =
     a_{n-1} since a_n = p*a_{n-1} + 1. The base's carry structure
     guarantees the greedy digits always satisfy the invariants, so any
-    violation is surfaced as a bug by the dataclass check rather than
+    violation is surfaced as a bug by the record's check rather than
     clamped. That check is also the one primality proof of p.
     """
     _check_int("k", k, 1)  # above INT64_MAX, recompose may leave the 128-bit range

@@ -7,8 +7,6 @@ deployed build can be validated without a test framework installed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .applications import (
     SCAN_LIMIT,
     prime_characterization_scan,
@@ -16,19 +14,24 @@ from .applications import (
     trailing_zeros,
 )
 from .eta import _eta_p, eta, eta_oracle, eta_p, eta_p_oracle, eta_p_preimage
-from .number_core import SMALL_PRIMES, _check_int, factorize, first_primes
+from .number_core import SMALL_PRIMES, _check_int, _Record, factorize, first_primes
 from .repunit_repr import decompose, recompose
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
+class VerifyConfig(_Record):
     """Ranges of the checks, rejected on construction when some check would
     run zero cases or could not pass."""
 
-    max_k: int = 500
-    max_n: int = 2000
-    primes: int = 10
-    max_zeros: int = 100
+    __slots__ = __match_args__ = ("max_k", "max_n", "primes", "max_zeros")
+
+    def __init__(
+        self, max_k: int = 500, max_n: int = 2000, primes: int = 10, max_zeros: int = 100
+    ) -> None:
+        object.__setattr__(self, "max_k", max_k)
+        object.__setattr__(self, "max_n", max_n)
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "max_zeros", max_zeros)
+        self.__post_init__()
 
     def __post_init__(self):
         for name in ("max_k", "primes", "max_zeros"):
@@ -45,11 +48,13 @@ class VerifyConfig:
             )
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    ok: bool
-    detail: str
+class CheckOutcome(_Record):
+    __slots__ = __match_args__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
 
 
 def _outcome(name: str, failures: list[str], scope: str) -> CheckOutcome:

@@ -80,6 +80,15 @@ def test_negative_p_is_not_prime(capsys, argv):
     assert invoke(capsys, *argv, "-5") == (1, "", "error: p must be prime, got -5\n")
 
 
+@pytest.mark.parametrize("argv", [("eta-p", "3"), ("decompose", "5"), ("valuation", "10")])
+def test_prime_p_above_64_bits_is_out_of_range(capsys, argv):
+    assert invoke(capsys, *argv, "9223372036854775837") == (
+        1,
+        "",
+        "error: p exceeds the 64-bit limit (9223372036854775807), got 9223372036854775837\n",
+    )
+
+
 def test_decompose_output(capsys):
     code, out, _ = invoke(capsys, "decompose", "27", "3")
     assert code == 0
@@ -273,6 +282,24 @@ def test_non_ascii_digit_is_syntax_error(capsys):
     code, out, err = invoke(capsys, "eta", "\u0663^2")
     assert (code, out) == (1, "")
     assert "(at position 0)" in err
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # -S keeps site-installed .pth files from preloading any of them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kempner.__file__)))
+    heavy = ("dataclasses", "inspect", "ast", "dis", "typing")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import kempner.cli; "
+        "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, src, *heavy],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "\n"
 
 
 def test_closed_stdout_ends_quietly():

@@ -154,8 +154,14 @@ def test_is_prime_small_cases():
 
 
 def test_is_prime_matches_trial_division_exhaustively():
-    for n in range(0, 3000):
+    for n in range(0, 70_001):  # across the end of the 2^16 sieve table
         assert is_prime(n) == trial_division_is_prime(n), n
+
+
+def test_small_primes_are_the_primes_below_2_16():
+    assert len(SMALL_PRIMES) == 6542
+    assert SMALL_PRIMES[:5] == (2, 3, 5, 7, 11)
+    assert SMALL_PRIMES[-1] == 65521
 
 
 @given(st.integers(0, 10**6))

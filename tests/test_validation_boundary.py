@@ -170,6 +170,8 @@ def test_factorize_results_equal_validated_powers():
 
 TOO_BIG = INT64_MAX + 1
 LIMIT = f"exceeds the 64-bit limit ({INT64_MAX}), got {TOO_BIG}"
+PRIME_TOO_BIG = 9223372036854775837  # the least prime above INT64_MAX
+PRIME_LIMIT = f"exceeds the 64-bit limit ({INT64_MAX}), got {PRIME_TOO_BIG}"
 
 
 CONTRACT = [  # (id, call, exception type, message)
@@ -185,16 +187,31 @@ CONTRACT = [  # (id, call, exception type, message)
         OverflowError,
         f"m {LIMIT}",
     ),
+    (
+        "legendre_valuation-p-high",
+        lambda: legendre_valuation(10, PRIME_TOO_BIG),
+        OverflowError,
+        f"p {PRIME_LIMIT}",
+    ),
     ("PrimePower-low", lambda: PrimePower(2, 0), ValueError, "exponent must be >= 1, got 0"),
+    (
+        "PrimePower-prime-high",
+        lambda: PrimePower(PRIME_TOO_BIG, 1),
+        OverflowError,
+        f"prime {PRIME_LIMIT}",
+    ),
+    ("PrimePower-composite-high", lambda: PrimePower(TOO_BIG, 1), OverflowError, f"prime {LIMIT}"),
     ("PrimePower-high", lambda: PrimePower(2, TOO_BIG), OverflowError, f"exponent {LIMIT}"),
     ("eta_p-low", lambda: eta_p(0, 5), ValueError, "k must be >= 1, got 0"),
     ("eta_p-high", lambda: eta_p(TOO_BIG, 5), OverflowError, f"k {LIMIT}"),
+    ("eta_p-p-high", lambda: eta_p(3, PRIME_TOO_BIG), OverflowError, f"p {PRIME_LIMIT}"),
     ("eta_p_oracle-low", lambda: eta_p_oracle(0, 5), ValueError, "k must be >= 1, got 0"),
     ("eta_p_oracle-high", lambda: eta_p_oracle(TOO_BIG, 5), OverflowError, f"k {LIMIT}"),
     ("eta_p_preimage-low", lambda: eta_p_preimage(1, 2), ValueError, "m must be >= 2, got 1"),
     ("eta_p_preimage-high", lambda: eta_p_preimage(TOO_BIG, 2), OverflowError, f"m {LIMIT}"),
     ("decompose-low", lambda: decompose(0, 2), ValueError, "k must be >= 1, got 0"),
     ("decompose-high", lambda: decompose(TOO_BIG, 2), OverflowError, f"k {LIMIT}"),
+    ("decompose-p-high", lambda: decompose(5, PRIME_TOO_BIG), OverflowError, f"p {PRIME_LIMIT}"),
     (
         "enumerate_all_representations-low",
         lambda: enumerate_all_representations(0, 2, 5),
