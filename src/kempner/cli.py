@@ -12,14 +12,9 @@ import os
 import re
 import sys
 
-from .applications import (
-    TABLE_FORMATS,
-    emit_table,
-    smallest_factorial_multiple,
-    solve_trailing_zeros,
-)
+from .applications import TABLE_FORMATS, emit_table, solve_trailing_zeros
 from .errors import SearchBudgetError
-from .eta import eta_p
+from .eta import eta, eta_p
 from .exprs import parse_factored_expr
 from .number_core import Factorization, _repunit, factorize, legendre_valuation
 from .repunit_repr import decompose
@@ -54,7 +49,7 @@ def format_factorization(f: Factorization) -> str:
 
 
 def _cmd_eta(args) -> int:
-    result = smallest_factorial_multiple(parse_factored_expr(args.expr))
+    result = eta(parse_factored_expr(args.expr))
     print(result.value)
     for p, a, e in result.per_prime:
         mark = "  <- max" if p == result.argmax_prime else ""
@@ -153,15 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("verify", help="run oracle-equivalence and property suites")
-    p.add_argument("--max-k", type=integer, default=500)
-    p.add_argument(
-        "--max-n",
-        type=integer,
-        default=2000,
-        help="largest n of the scans; the time grows quadratically in it",
-    )
-    p.add_argument("--primes", type=integer, default=10)
-    p.add_argument("--max-zeros", type=integer, default=100)
+    defaults = VerifyConfig()
+    for field, text in (
+        ("max_k", "largest k of the eta_p and round-trip checks; the time grows linearly in it"),
+        ("max_n", "largest n of the scans; the time grows quadratically in it"),
+        ("primes", "how many of the smallest primes the per-prime checks use"),
+        ("max_zeros", "largest z of the trailing-zeros check; the time grows quadratically in it"),
+    ):
+        option = "--" + field.replace("_", "-")
+        p.add_argument(option, type=integer, default=getattr(defaults, field), help=text)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -4,14 +4,17 @@ Every k >= 1 is a sum t_1*a_{n_1} + ... + t_l*a_{n_l} over the repunits
 a_n = (p^n - 1)/(p - 1), with strictly decreasing exponents, digits in
 1..p-1 except the final digit which may reach p. `decompose` builds the
 representation greedily; `enumerate_all_representations` is the brute-force
-uniqueness oracle. Both check p through `number_core._require_prime`, which
-for `decompose` is the `RepunitDecomposition` constructor's one proof.
+uniqueness oracle, an unpruned search over every digit on every repunit up
+to k. Both check p through `number_core._require_prime`, which for
+`decompose` is the `RepunitDecomposition` constructor's one proof.
 """
 
 from __future__ import annotations
 
 from .errors import NotPrimeError, SearchBudgetError
 from .number_core import _check_int, _Record, _repunit, _require_prime
+
+SEARCH_BUDGET = 1_000_000  # the most nodes enumerate_all_representations visits
 
 
 class RepunitDecomposition(_Record):
@@ -81,40 +84,31 @@ def recompose(d: RepunitDecomposition) -> int:
     return sum(t * _repunit(d.p, n) for n, t in d.terms)
 
 
-def enumerate_all_representations(
-    k: int, p: int, max_exponent: int, max_nodes: int = 1_000_000
-) -> list[RepunitDecomposition]:
+def enumerate_all_representations(k: int, p: int) -> list[RepunitDecomposition]:
     """Every valid digit assignment summing to k, by exhaustive search.
 
-    Test oracle for the uniqueness claim; intended for k up to ~10^4.
-    Exponents are searched up to max_exponent; the DFS raises
-    SearchBudgetError after max_nodes visited nodes.
+    Test oracle for the uniqueness claim; intended for k up to ~10^4. The
+    search is unpruned: every digit 1..p on every repunit <= k, from the
+    closed form rather than decompose's walk, with digit p legal only on the
+    final term. It raises SearchBudgetError after SEARCH_BUDGET visited nodes.
     """
     _check_int("k", k, 1)
     _require_prime(p)
-    repunits = [_repunit(p, n) for n in range(1, max_exponent + 1)]
-    # reachable[n] = sum of (p-1)*a_j over exponents 1..n; the one possible
-    # digit-p bonus (at most one extra a_j, on the final term) is added at
-    # the prune site
-    reachable = [0]
-    for a in repunits:
-        reachable.append(reachable[-1] + (p - 1) * a)
+    repunits = [1]  # a_1, a_2, ... up to k, from the closed form
+    while p * repunits[-1] < k:  # a_{n+1} = p*a_n + 1 <= k, so p^{n+1} < 2^127
+        repunits.append(_repunit(p, len(repunits) + 1))
     found: list[RepunitDecomposition] = []
     nodes = 0
 
     def search(remainder: int, max_n: int, chosen: list[tuple[int, int]]) -> None:
         nonlocal nodes
         nodes += 1
-        if nodes > max_nodes:
+        if nodes > SEARCH_BUDGET:
             raise SearchBudgetError(
-                f"representation search for k={k}, p={p} exceeded {max_nodes} nodes"
+                f"representation search for k={k}, p={p} exceeded {SEARCH_BUDGET} nodes"
             )
-        if max_n < 1 or remainder > reachable[max_n] + repunits[max_n - 1]:
-            return  # maximal digits on every remaining exponent still fall short
         for n in range(max_n, 0, -1):
             a = repunits[n - 1]
-            if a > remainder:
-                continue
             for t in range(1, min(p, remainder // a) + 1):
                 rest = remainder - t * a
                 if t == p and rest != 0:
@@ -126,5 +120,5 @@ def enumerate_all_representations(
                     search(rest, n - 1, chosen)
                 chosen.pop()
 
-    search(k, max_exponent, [])
+    search(k, len(repunits), [])
     return found

@@ -23,7 +23,6 @@ from kempner import (
     first_primes,
     is_prime,
     legendre_valuation,
-    repunit,
     solve_trailing_zeros,
     trailing_zeros,
 )
@@ -90,12 +89,7 @@ def test_criterion_4_divisibility_minimality():
 def test_criterion_5_uniqueness():
     for p in (2, 3, 5):
         for k in range(1, 1001):
-            top = 1
-            while repunit(p, top + 1) <= k:
-                top += 1
-            representations = enumerate_all_representations(k, p, top)
-            assert len(representations) == 1, (k, p)
-            assert representations[0] == decompose(k, p)
+            assert enumerate_all_representations(k, p) == [decompose(k, p)], (k, p)
 
 
 @criterion(6, "eta(n)=n iff n prime on (4, 10^4], with eta(4)=4")

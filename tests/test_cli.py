@@ -4,15 +4,19 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kempner
 
-from kempner import eta, factorize
-from kempner.cli import run
+from kempner import INT64_MAX, eta, factorize
+from kempner.cli import integer, run
 
 
 def invoke(capsys, *argv):
@@ -320,3 +324,91 @@ def test_closed_stdout_ends_quietly():
             proc.wait()
     assert err == b""
     assert proc.returncode == 1
+
+
+# --- no-traceback fuzz over argv -------------------------------------------
+
+# refused by every verify option: below 1, above 64 bits or not ASCII decimal
+REFUSED = ["0", "-1", str(INT64_MAX + 1), str(2**64), "\u0663", "1_0", " 1", "", "x"]
+INTEGERS = st.sampled_from(
+    REFUSED + ["1", "2", "3", "5", "27", "1000", str(INT64_MAX), str(2**61 - 1)]
+) | st.integers(-3, 10_000).map(str)
+EXPRESSIONS = (
+    INTEGERS
+    | st.sampled_from(
+        [
+            "2^31*3^27*7^13",
+            "-2^31*3^27*7^13",
+            f"2^{INT64_MAX}*3^{INT64_MAX}",
+            f"2^{INT64_MAX}*2^1",
+            f"2^{INT64_MAX + 1}",
+            "3^" + "9" * 30,
+            "7^" + "9" * 5000,
+            "2^^3x",
+            "4^2",
+            "2^0",
+            "0^3",
+            "-",
+            "*",
+            "2^",
+            "^3",
+            "2**3",
+            "2^3^4",
+            "--2",
+            " 2 ^ 3 * 5 ",
+        ]
+    )
+    | st.text("0123456789^*- x\u0663", max_size=24)
+)
+
+
+@st.composite
+def table_argv(draw):
+    # every accepted range has at most 64 rows
+    start = draw(INTEGERS)
+    try:
+        end = str(integer(start) + draw(st.integers(-2, 63)))
+    except ValueError:  # argparse refuses start before any row
+        end = draw(INTEGERS)
+    fmt = draw(st.sampled_from([None, "csv", "json-lines", "yaml"]))
+    return [start, end] + ([] if fmt is None else ["--format", fmt])
+
+
+@st.composite
+def verify_argv(draw):
+    # every option is given, refused or at most 60, so no accepted run is slow;
+    # --max-zeros and --max-k accept INT64_MAX, which would run for days
+    small = st.integers(1, 60).map(str)
+    extra = {"--max-n": ["1000001", str(INT64_MAX)], "--primes": ["6543", str(INT64_MAX)]}
+    options = draw(st.permutations(["--max-k", "--max-n", "--primes", "--max-zeros"]))
+    argv = []
+    for option in options:
+        argv += [option, draw(small | st.sampled_from(REFUSED + extra.get(option, [])))]
+    return argv
+
+
+ARGV = {
+    "eta": st.tuples(EXPRESSIONS).map(list),
+    "eta-p": st.lists(INTEGERS, min_size=2, max_size=2),
+    "decompose": st.lists(INTEGERS, min_size=2, max_size=2),
+    "valuation": st.lists(INTEGERS, min_size=2, max_size=2),
+    "zeros": st.tuples(INTEGERS).map(list),
+    "table": table_argv(),
+    "factor": st.tuples(INTEGERS).map(list),
+    "verify": verify_argv(),
+}
+
+
+@given(
+    argv=st.sampled_from(sorted(ARGV)).flatmap(lambda cmd: ARGV[cmd].map(lambda a: [cmd, *a])),
+    junk=st.sampled_from([[], [], [], ["7"], ["--nope"]]),
+)
+@settings(max_examples=400, deadline=None)
+def test_cli_never_raises(argv, junk):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv + junk)
+    assert code in (0, 1, 2, 3), argv
+    if code == 1:
+        assert out.getvalue() == "", argv
+        assert re.fullmatch(r"error: [^\n]*\n", err.getvalue()), (argv, err.getvalue())

@@ -317,6 +317,38 @@ def test_factorize_products_of_primes_above_the_trial_divisors():
         assert [(pp.prime, pp.exponent) for pp in factorize(n).factors] == expected, drawn
 
 
+def largest_power_in_64_bits(p: int) -> int:
+    k = 1
+    while p ** (k + 1) <= INT64_MAX:
+        k += 1
+    return p**k
+
+
+def test_factorize_matches_sympy_on_hard_families():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(14)
+    root = 3_037_000_499  # isqrt(INT64_MAX)
+    squares = [sympy.prevprime(root - rng.randrange(10**6)) ** 2 for _ in range(5)]
+    powers = [largest_power_in_64_bits(sympy.nextprime(rng.randrange(2, 2**20))) for _ in range(5)]
+    semiprimes = [
+        sympy.nextprime(rng.randrange(2**30, 2**31 - 100))
+        * sympy.nextprime(rng.randrange(2**30, 2**31 - 100))
+        for _ in range(3)
+    ]
+    carmichaels = []  # (6j+1)(12j+1)(18j+1) with all three factors prime
+    j = rng.randrange(150, 150_000)  # 1296 * 150^3 > 2^32
+    while len(carmichaels) < 5:
+        j += 1
+        factors = (6 * j + 1, 12 * j + 1, 18 * j + 1)
+        if all(sympy.isprime(q) for q in factors):
+            carmichaels.append(prod(factors))
+    cases = squares + powers + semiprimes + carmichaels
+    assert all(n <= INT64_MAX for n in cases) and min(carmichaels) > 2**32
+    for n in cases:
+        got = {pp.prime: pp.exponent for pp in factorize(n).factors}
+        assert got == sympy.factorint(n), n
+
+
 # --- _factor_range ----------------------------------------------------------
 
 P31 = 2**31 - 1

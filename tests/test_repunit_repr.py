@@ -15,15 +15,9 @@ from kempner import (
     recompose,
     repunit,
 )
+from kempner import repunit_repr
 
 FIRST_TEN_PRIMES = first_primes(10)
-
-
-def largest_exponent(k: int, p: int) -> int:
-    n = 1
-    while repunit(p, n + 1) <= k:
-        n += 1
-    return n
 
 
 def test_decompose_worked_examples():
@@ -102,15 +96,21 @@ def test_final_digit_p_means_exact_division(p):
 
 
 def test_enumeration_finds_exactly_the_greedy_answer():
-    reps = enumerate_all_representations(27, 3, 4)
+    reps = enumerate_all_representations(27, 3)
     assert reps == [decompose(27, 3)]
-    assert enumerate_all_representations(1, 2, 3) == [RepunitDecomposition(2, ((1, 1),))]
-    assert len(enumerate_all_representations(1000, 5, 6)) == 1
+    assert enumerate_all_representations(1, 2) == [RepunitDecomposition(2, ((1, 1),))]
+    assert enumerate_all_representations(1000, 5) == [decompose(1000, 5)]
+    assert enumerate_all_representations(10**4, 7) == [decompose(10**4, 7)]
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
+    monkeypatch.setattr(repunit_repr, "SEARCH_BUDGET", 3)
+    with pytest.raises(SearchBudgetError, match="exceeded 3 nodes"):
+        enumerate_all_representations(5000, 2)
+    # (2^61 - 1)^3 is past 128 bits, so the repunits up to k must be listed
+    # without computing the first one above k
     with pytest.raises(SearchBudgetError):
-        enumerate_all_representations(5000, 2, 12, max_nodes=3)
+        enumerate_all_representations(INT64_MAX, 2**61 - 1)
 
 
 def test_decomposition_invariant_validation():

@@ -214,13 +214,13 @@ CONTRACT = [  # (id, call, exception type, message)
     ("decompose-p-high", lambda: decompose(5, PRIME_TOO_BIG), OverflowError, f"p {PRIME_LIMIT}"),
     (
         "enumerate_all_representations-low",
-        lambda: enumerate_all_representations(0, 2, 5),
+        lambda: enumerate_all_representations(0, 2),
         ValueError,
         "k must be >= 1, got 0",
     ),
     (
         "enumerate_all_representations-high",
-        lambda: enumerate_all_representations(TOO_BIG, 2, 5),
+        lambda: enumerate_all_representations(TOO_BIG, 2),
         OverflowError,
         f"k {LIMIT}",
     ),
