@@ -24,22 +24,25 @@ small base `_Record` rather than `dataclasses`, whose import pulls in
 
 `factorize` trial-divides a single n by the primes below 2^10 only; a
 cofactor below 2^20 is then prime (the next prime is 1031 and
-1031^2 > 2^20), and anything larger goes to Miller-Rabin and Brent's rho
-(Brent, BIT 20, 1980). `_factor_range` factors a whole range [start, end]
-for `table` and the prime scan: a segmented sieve of Eratosthenes (Bays &
-Hudson, BIT 17, 1977) divides each base prime up to min(2^16, sqrt(end))
-out of its multiples, so a cofactor below 2^32 is prime. Both hand what is
-left of each n, with their bound, to `_factor_cofactor`, the one cofactor
-rule.
+1031^2 > 2^20), and anything larger goes to `is_prime` and, unless it is
+a perfect square, cube or fifth power, to Brent's rho (Brent, BIT 20,
+1980). `_factor_range` factors a whole range [start, end] for `table` and
+the prime scan: a segmented sieve of Eratosthenes (Bays & Hudson, BIT 17,
+1977) divides each base prime up to min(2^16, sqrt(end)) out of its
+multiples, so a cofactor below 2^32 is prime. Both hand what is left of
+each n, with their bound, to `_factor_cofactor`, the one cofactor rule.
 
 The numbers up to 2^16 are sieved once at import into an immutable `bytes`
 table of prime flags: `is_prime` answers n < 2^16 by one lookup in it.
 `SMALL_PRIMES`, the primes below 2^16 that `_factor_range` and
 `first_primes` read, is extracted from the table with `itertools.compress`.
-Above 2^16, `is_prime` is deterministic Miller-Rabin sized to n: bases
-2, 7, 61 below 4,759,123,141 and 2, 3, 5, 7, 11 below 2,152,302,898,747
-(each bound is the first strong pseudoprime to its bases; Jaeschke, Math.
-Comp. 61, 1993), then Jim Sinclair's 7 bases, exact below 2^64.
+Above 2^16, `is_prime` is deterministic and sized to n: Miller-Rabin with
+bases 2, 7, 61 below 4,759,123,141 and 2, 3, 5, 7, 11 below
+2,152,302,898,747 (each bound is the first strong pseudoprime to its bases;
+Jaeschke, Math. Comp. 61, 1993), then the Baillie-PSW test, a base-2
+Miller-Rabin round and a strong Lucas test (Baillie & Wagstaff, Math. Comp.
+35, 1980), which has no counterexample below 2^64 (Baillie, Fiori &
+Wagstaff, Math. Comp. 90, 2021).
 """
 
 from __future__ import annotations
@@ -75,12 +78,17 @@ _TRIAL_PRIMES = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, 1 << 10)]
 
 # (bound, witnesses): `is_prime` tests n with the first tier where n < bound.
 # The first two bounds are the smallest strong pseudoprimes to their bases
-# (Jaeschke), hence the strict comparison; Sinclair's 7 bases are exact below
-# 2^64 (widely reproduced from miller-rabin.appspot.com).
+# (Jaeschke), hence the strict comparison. From the second bound up, base 2
+# alone is followed by `_strong_lucas`: that pair is the Baillie-PSW test
+# (Baillie & Wagstaff, Math. Comp. 35, 1980), which no composite below 2^64
+# passes (Baillie, Fiori & Wagstaff, Math. Comp. 90, 2021, checked against
+# Feitsma and Galway's list of the base-2 strong pseudoprimes below 2^64).
+# Below that bound the 3 and 5 witnesses cost less than one Lucas sequence.
+_BPSW_FROM = 2_152_302_898_747
 _MR_TIERS = (
     (4_759_123_141, (2, 7, 61)),
-    (2_152_302_898_747, (2, 3, 5, 7, 11)),
-    (INT64_MAX + 1, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (_BPSW_FROM, (2, 3, 5, 7, 11)),
+    (INT64_MAX + 1, (2,)),
 )
 
 
@@ -88,9 +96,11 @@ def is_prime(n: int) -> bool:
     """Exact primality test for 0 <= n <= INT64_MAX.
 
     n < 2^16 is looked up in the import-time sieve. Above that, deterministic
-    Miller-Rabin with 3 witnesses (2, 7, 61) below 4,759,123,141, 5 (2 to 11)
-    below 2,152,302,898,747 (both bounds from Jaeschke, 1993), and Sinclair's
-    7 up to INT64_MAX. Raises OverflowError above the supported range rather
+    Miller-Rabin with 3 witnesses (2, 7, 61) below 4,759,123,141 and 5 (2 to
+    11) below 2,152,302,898,747 (both bounds from Jaeschke, 1993); from there
+    up to INT64_MAX, Baillie-PSW: witness 2, then `_strong_lucas` (Baillie &
+    Wagstaff, 1980; no composite below 2^64 passes both, per Baillie, Fiori &
+    Wagstaff, 2021). Raises OverflowError above the supported range rather
     than degrading to a probabilistic answer.
     """
     if n < 0:
@@ -124,7 +134,70 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _BPSW_FROM or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n larger than every |D| it
+    tries (`is_prime` calls it above 2^41 only), with Selfridge's parameters
+    (method A): D is the first of 5, -7, 9, -11, ... with Jacobi symbol
+    (D/n) = -1, P = 1 and Q = (1 - D) / 4.
+
+    Writing n + 1 = d * 2^s, n passes when U_d = 0 or V_(d * 2^r) = 0 (mod n)
+    for some 0 <= r < s.
+    """
+    if isqrt(n) ** 2 == n:  # no D has (D/n) = -1, so the search would not end
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # gcd(|D|, n) > 1, and |D| < n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    # the V-only ladder over the bits of d, carrying (V_k, V_(k+1), Q^k) mod n
+    # from k = 1: V_2k = V_k^2 - 2Q^k and V_(2k+1) = V_k V_(k+1) - Q^k. Q^k is
+    # left unreduced when Q = -1 (D = 5, about half of all n): it is then
+    # +-1, where reducing -1 would make it the full-width n - 1.
+    Q2 = 2 * Q
+    v, w, q = 1, (1 - Q2) % n, Q
+    for bit in bin(d)[3:]:
+        if bit == "1":
+            v = (v * w - q) % n
+            w = (w * w - q * Q2) % n
+            q = q * q * Q
+        else:
+            w = (v * w - q) % n
+            v = (v * v - q - q) % n
+            q = q * q
+        if Q != -1:
+            q %= n
+    # D U_d = 2 V_(d+1) - V_d, and gcd(n, 2D) = 1
+    if (2 * w - v) % n == 0:
+        return True
+    for _ in range(s - 1):
+        if v == 0:
+            return True
+        v, q = (v * v - q - q) % n, q * q % n
+    return v == 0
 
 
 def _require_prime(p: int, context: str = "p") -> None:
@@ -325,6 +398,17 @@ def _factor_cofactor(n: int, acc: dict[int, int], proven_below: int) -> None:
     if n < proven_below or n in acc or is_prime(n):
         acc[n] = acc.get(n, 0) + 1
         return
+    # Rho is slowest on a prime power, so a perfect power splits by its root
+    # first. Every prime factor of n exceeds 1021 and 1031^7 > 2^63, so
+    # n = r^e has e <= 6, and each such e has a divisor k in (2, 3, 5). Below
+    # 2^63 the float root is off by far less than 1/2; r**k == n decides, so
+    # a wrong root could only leave n to rho.
+    for k in (2, 3, 5):
+        r = round(n ** (1 / k))
+        if r**k == n:
+            for _ in range(k):
+                _factor_cofactor(r, acc, proven_below)
+            return
     d = _pollard_rho(n)
     _factor_cofactor(d, acc, proven_below)
     _factor_cofactor(n // d, acc, proven_below)
@@ -334,8 +418,8 @@ def factorize(n: int) -> Factorization:
     """Unique factorization of a nonzero signed integer with |n| <= INT64_MAX.
 
     Trial division over the primes below 2^10; a remaining cofactor below
-    2^20 is prime, and a larger one is certified by Miller-Rabin or split
-    by Brent's rho.
+    2^20 is prime, and a larger one is certified by `is_prime`, or split by
+    its root if it is a perfect power, or else by Brent's rho.
     """
     if n == 0:
         raise ZeroInputError("0 has no prime factorization (eta is undefined at 0)")

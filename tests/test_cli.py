@@ -251,6 +251,19 @@ def test_verify_max_n_is_capped_by_the_prime_scan(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--max-k", "100001", "max_k must be <= 100000, got 100001"),
+        ("--max-k", str(INT64_MAX), f"max_k must be <= 100000, got {INT64_MAX}"),
+        ("--max-zeros", "4001", "max_zeros must be <= 4000, got 4001"),
+        ("--max-zeros", str(INT64_MAX), f"max_zeros must be <= 4000, got {INT64_MAX}"),
+    ],
+)
+def test_verify_max_k_and_max_zeros_are_capped(capsys, option, value, message):
+    assert invoke(capsys, "verify", option, value) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [("eta", "0"), ("eta", "-0"), ("factor", "0")])
 def test_zero_has_one_message(capsys, argv):
     assert invoke(capsys, *argv) == (
@@ -376,10 +389,14 @@ def table_argv(draw):
 
 @st.composite
 def verify_argv(draw):
-    # every option is given, refused or at most 60, so no accepted run is slow;
-    # --max-zeros and --max-k accept INT64_MAX, which would run for days
+    # every option is given, refused or at most 60, so no accepted run is slow
     small = st.integers(1, 60).map(str)
-    extra = {"--max-n": ["1000001", str(INT64_MAX)], "--primes": ["6543", str(INT64_MAX)]}
+    extra = {
+        "--max-k": ["100001", str(INT64_MAX)],
+        "--max-n": ["1000001", str(INT64_MAX)],
+        "--primes": ["6543", str(INT64_MAX)],
+        "--max-zeros": ["4001", str(INT64_MAX)],
+    }
     options = draw(st.permutations(["--max-k", "--max-n", "--primes", "--max-zeros"]))
     argv = []
     for option in options:

@@ -20,7 +20,8 @@ from kempner import (
     legendre_valuation,
     repunit,
 )
-from kempner.number_core import SMALL_PRIMES, _factor_range
+from kempner import number_core
+from kempner.number_core import SMALL_PRIMES, _factor_range, _strong_lucas
 
 FIRST_TEN_PRIMES = first_primes(10)
 
@@ -225,6 +226,51 @@ def test_is_prime_matches_sympy_in_every_tier():
         for _ in range(2000):
             n = rng.randrange(lo, hi) | 1
             assert is_prime(n) == sympy.isprime(n), n
+    # random odd n are mostly composites that base 2 already rejects, so the
+    # top tier also gets primes, which run the whole Lucas test, and
+    # semiprimes with no small factor
+    for top in (2**61, INT64_MAX):
+        n = top - rng.randrange(10**9)
+        for _ in range(100):
+            n = sympy.prevprime(n)
+            assert is_prime(n), n
+    for _ in range(300):
+        p, q = (sympy.nextprime(rng.randrange(2**30, 2**31 - 100)) for _ in range(2))
+        assert not is_prime(p * q), (p, q)
+
+
+def test_strong_lucas_matches_sympy():
+    primetest = pytest.importorskip("sympy.ntheory.primetest")
+    rng = random.Random(15)
+    # the window holds the strong Lucas pseudoprimes 5459, 5777, ..., 25199
+    cases = list(range(5001, 30001, 2))
+    cases += [rng.randrange(1 << 16, INT64_MAX) | 1 for _ in range(3000)]
+    cases += [1093**2, 3511**2, 3037000493**2]  # squares, which no D fits
+    for n in cases:
+        assert _strong_lucas(n) == primetest.is_strong_lucas_prp(n), n
+
+
+def test_strong_lucas_rejects_the_base_2_strong_pseudoprimes_below_a_million():
+    # BPSW rests on no composite passing both halves; 1093^2 and 3511^2 are
+    # base-2 strong pseudoprimes that only the perfect-square guard rejects
+    composite = bytearray(10**6)
+    for i in range(2, 1000):
+        if not composite[i]:
+            composite[i * i :: i] = b"\1" * len(range(i * i, 10**6, i))
+    pseudoprimes = [
+        n for n in range(3, 10**6, 2) if composite[n] and is_strong_probable_prime(n, 2)
+    ]
+    assert len(pseudoprimes) == 46 and pseudoprimes[:3] == [2047, 3277, 4033]
+    for n in pseudoprimes + [1093**2, 3511**2]:
+        assert is_strong_probable_prime(n, 2)
+        assert not _strong_lucas(n), n
+
+
+def test_is_prime_rejects_the_strong_pseudoprime_to_bases_2_through_23():
+    n = 3825123056546413051
+    assert n == 149491 * 747451 * 34233211
+    assert all(is_strong_probable_prime(n, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23))
+    assert not is_prime(n)
 
 
 def test_is_prime_domain():
@@ -322,6 +368,18 @@ def largest_power_in_64_bits(p: int) -> int:
     while p ** (k + 1) <= INT64_MAX:
         k += 1
     return p**k
+
+
+@pytest.mark.parametrize(
+    "root, exponent",
+    [(3037000493, 2), (1048573, 3), (1031, 5), (1031, 6)],  # 1048573 is the prime below 2^20
+)
+def test_factorize_splits_prime_powers_without_rho(monkeypatch, root, exponent):
+    def no_rho(n):
+        raise AssertionError(f"rho called on {n}")
+
+    monkeypatch.setattr(number_core, "_pollard_rho", no_rho)
+    assert factorize(root**exponent).factors == (PrimePower(root, exponent),)
 
 
 def test_factorize_matches_sympy_on_hard_families():
