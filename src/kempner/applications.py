@@ -52,6 +52,14 @@ class ZerosSolution(_Record):
                 raise ValueError(f"members must start at a multiple of 5, got {first}")
 
 
+def _trusted_zeros_solution(z: int, members: tuple[int, ...]) -> ZerosSolution:
+    """ZerosSolution(z, members) without its check."""
+    solution = object.__new__(ZerosSolution)
+    object.__setattr__(solution, "z", z)
+    object.__setattr__(solution, "members", members)
+    return solution
+
+
 def trailing_zeros(m: int) -> int:
     """Count of trailing base-10 zeros of m!.
 
@@ -75,15 +83,15 @@ def solve_trailing_zeros(z: int) -> ZerosSolution:
     if z > INT64_MAX // 5:  # eta_5(z) <= 5z must stay within 64 bits
         raise OverflowError(f"z must be <= {INT64_MAX // 5}, got {z}")
     if z == 0:
-        return ZerosSolution(0, (1, 2, 3, 4))
+        return _trusted_zeros_solution(0, (1, 2, 3, 4))
     candidate = _eta_p(z, 5)  # 1 <= z and 5z <= INT64_MAX, as eta_p requires
     if _eta_p(z, 2) > candidate:
         raise RuntimeError(f"eta_2({z}) > eta_5({z}): 2-adic side cannot dominate")
     if _legendre(candidate, 5) != z:
-        return ZerosSolution(z, ())
+        return _trusted_zeros_solution(z, ())
     if _legendre(candidate + 5, 5) <= z:
         raise RuntimeError(f"zero count fails to increase after {candidate + 4}")
-    return ZerosSolution(z, tuple(range(candidate, candidate + 5)))
+    return _trusted_zeros_solution(z, tuple(range(candidate, candidate + 5)))
 
 
 def smallest_factorial_multiple(n: Factorization) -> EtaResult:

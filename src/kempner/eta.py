@@ -14,10 +14,11 @@ Validation happens once, at the public boundary: `eta_p`, `eta_p_oracle` and
 `eta_p_preimage` check k or m through `number_core._check_int` and p through
 `_require_prime`, and every p*k bound goes through `_check_range`. `eta`
 trusts its `Factorization` (each `PrimePower` checked itself on
-construction) but still checks the p*k range. The kernel `_eta_p` trusts its
-arguments entirely and checks nothing, and so does `_eta_witness`, the one
-place that picks eta's value and argmax prime out of the per-prime values;
-the table rows in `applications` call it directly.
+construction) but still checks the p*k range, since a caller may have built
+it, and returns a trusted `EtaResult` (`_trusted_eta_result`). The kernel
+`_eta_p` trusts its arguments entirely and checks nothing, and so does
+`_eta_witness`, the one place that picks eta's value and argmax prime out
+of the per-prime values; the table rows in `applications` call it directly.
 """
 
 from __future__ import annotations
@@ -54,6 +55,15 @@ class EtaResult(_Record):
                 raise ValueError(f"argmax_prime {self.argmax_prime} does not achieve {self.value}")
         elif self.value != 0 or self.argmax_prime is not None:
             raise ValueError("unit factorization must have value 0 and no argmax prime")
+
+
+def _trusted_eta_result(value: int, per_prime: tuple, argmax_prime: int | None) -> EtaResult:
+    """EtaResult(value, per_prime, argmax_prime) without its check."""
+    result = object.__new__(EtaResult)
+    object.__setattr__(result, "value", value)
+    object.__setattr__(result, "per_prime", per_prime)
+    object.__setattr__(result, "argmax_prime", argmax_prime)
+    return result
 
 
 def _eta_p(k: int, p: int) -> int:
@@ -143,7 +153,7 @@ def eta(n: Factorization) -> EtaResult:
     """
     for f in n.factors:
         _check_range(f.exponent, f.prime)
-    return EtaResult(*_eta_witness((f.prime, f.exponent) for f in n.factors))
+    return _trusted_eta_result(*_eta_witness((f.prime, f.exponent) for f in n.factors))
 
 
 def eta_oracle(n: Factorization) -> int:

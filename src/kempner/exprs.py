@@ -18,7 +18,14 @@ from __future__ import annotations
 import re
 
 from .errors import ExprSyntaxError
-from .number_core import Factorization, _check_int, _proven_power, _require_prime, factorize
+from .number_core import (
+    Factorization,
+    _check_int,
+    _require_prime,
+    _trusted_factorization,
+    _trusted_prime_power,
+    factorize,
+)
 
 # \s is exactly str.isspace; [0-9] keeps out other scripts' digits
 _TOKEN = re.compile(r"[0-9]+|\S")
@@ -76,4 +83,5 @@ def parse_factored_expr(text: str) -> Factorization:
         merged[base] = merged.get(base, 0) + exponent
     for a in merged.values():
         _check_int("merged exponent", a, 1)
-    return Factorization(sign, tuple(_proven_power(p, a) for p, a in sorted(merged.items())))
+    factors = tuple(_trusted_prime_power(p, a) for p, a in sorted(merged.items()))
+    return _trusted_factorization(sign, factors)

@@ -14,13 +14,14 @@ gets that same `OverflowError`. The private twins `_repunit` and
 `_legendre` skip the prime proof for callers that already hold a proven
 prime. `factorize` proves each prime it finds once (trial division yields
 primes by construction, and `_factor_cofactor` states the rule for what is
-left) and builds its `PrimePower`s through `_proven_power`, which fills the
-record's slots directly and so skips the constructor's re-proof.
+left).
 
 The result records of the package (`PrimePower` and `Factorization` here,
 and those of `eta`, `repunit_repr`, `applications` and `verify`) share the
 small base `_Record` rather than `dataclasses`, whose import pulls in
-`inspect` and `ast` and dominated the start-up of a one-shot CLI call.
+`inspect` and `ast` and dominated the start-up of a one-shot CLI call. The
+constructors validate; what the library computed itself it returns through
+each record's trusted builder (see `_Record`), which skips the validator.
 
 `factorize` trial-divides a single n by the primes below 2^10 only; a
 cofactor below 2^20 is then prime (the next prime is 1031 and
@@ -267,10 +268,12 @@ class _Record:
     `__match_args__`, and writes out its own `__init__`: that sets each field
     through `object.__setattr__` and, for a record with a validator, ends by
     calling `__post_init__`, defined on the class itself so that kbench's
-    tracer can wrap it there for its `.validate` spans. Records compare and
-    hash by their field tuple and print as `Name(field=value, ...)`.
-    Assignment and deletion raise AttributeError, so pickle and copy rebuild
-    a record through its constructor, which validates it again.
+    tracer can wrap it there for its `.validate` spans; its `_trusted_<record>`
+    builder, for values the library computed, is `__init__` without that call.
+    Records compare and hash by their field tuple and print as
+    `Name(field=value, ...)`. Assignment and deletion raise AttributeError,
+    so pickle and copy rebuild a record through its constructor, which
+    validates it again.
     """
 
     __slots__ = ()
@@ -315,12 +318,8 @@ class PrimePower(_Record):
         _check_int("exponent", self.exponent, 1)
 
 
-def _proven_power(prime: int, exponent: int) -> PrimePower:
-    """A PrimePower for a prime the caller has already proven and an exponent >= 1.
-
-    It fills the same slots as the constructor but skips `__post_init__`,
-    so the prime is not proven a second time.
-    """
+def _trusted_prime_power(prime: int, exponent: int) -> PrimePower:
+    """PrimePower(prime, exponent) without its check, for a proven prime."""
     power = object.__new__(PrimePower)
     object.__setattr__(power, "prime", prime)
     object.__setattr__(power, "exponent", exponent)
@@ -353,6 +352,14 @@ class Factorization(_Record):
         for f in self.factors:
             v *= f.prime**f.exponent
         return v
+
+
+def _trusted_factorization(sign: int, factors: tuple[PrimePower, ...]) -> Factorization:
+    """Factorization(sign, factors) without its check."""
+    f = object.__new__(Factorization)
+    object.__setattr__(f, "sign", sign)
+    object.__setattr__(f, "factors", factors)
+    return f
 
 
 def _pollard_rho(n: int) -> int:
@@ -389,29 +396,30 @@ def _pollard_rho(n: int) -> int:
             return g
 
 
-def _factor_cofactor(n: int, acc: dict[int, int], proven_below: int) -> None:
+def _factor_cofactor(n: int, acc: dict[int, int], proven_below: int, times: int = 1) -> None:
+    # Adds times * v_q(n) to acc[q] for each prime q | n.
     # n > 1 has no prime factor up to min(t, sqrt(n)), t the caller's last trial
     # prime, so below proven_below <= (next prime after t)^2 it is prime:
     # factorize passes 2^20 (t = 1021, then 1031), _factor_range 2^32
     # (t = 65521, then 65537). Every key of acc is a proven prime, so a factor
     # already there is not proven again.
     if n < proven_below or n in acc or is_prime(n):
-        acc[n] = acc.get(n, 0) + 1
+        acc[n] = acc.get(n, 0) + times
         return
     # Rho is slowest on a prime power, so a perfect power splits by its root
-    # first. Every prime factor of n exceeds 1021 and 1031^7 > 2^63, so
-    # n = r^e has e <= 6, and each such e has a divisor k in (2, 3, 5). Below
-    # 2^63 the float root is off by far less than 1/2; r**k == n decides, so
-    # a wrong root could only leave n to rho.
+    # first, and the root is factored once with k times the multiplicity.
+    # Every prime factor of n exceeds 1021 and 1031^7 > 2^63, so n = r^e has
+    # e <= 6, and each such e has a divisor k in (2, 3, 5). Below 2^63 the
+    # float root is off by far less than 1/2; r**k == n decides, so a wrong
+    # root could only leave n to rho.
     for k in (2, 3, 5):
         r = round(n ** (1 / k))
         if r**k == n:
-            for _ in range(k):
-                _factor_cofactor(r, acc, proven_below)
+            _factor_cofactor(r, acc, proven_below, times * k)
             return
     d = _pollard_rho(n)
-    _factor_cofactor(d, acc, proven_below)
-    _factor_cofactor(n // d, acc, proven_below)
+    _factor_cofactor(d, acc, proven_below, times)
+    _factor_cofactor(n // d, acc, proven_below, times)
 
 
 def factorize(n: int) -> Factorization:
@@ -438,8 +446,8 @@ def factorize(n: int) -> Factorization:
             m //= p
     if m > 1:
         _factor_cofactor(m, exponents, 1 << 20)
-    factors = tuple(_proven_power(p, a) for p, a in sorted(exponents.items()))
-    return Factorization(sign, factors)
+    factors = tuple(_trusted_prime_power(p, a) for p, a in sorted(exponents.items()))
+    return _trusted_factorization(sign, factors)
 
 
 _SEGMENT = 1 << 12  # numbers per sieve segment, which bounds memory near 2^63

@@ -5,13 +5,14 @@ a_n = (p^n - 1)/(p - 1), with strictly decreasing exponents, digits in
 1..p-1 except the final digit which may reach p. `decompose` builds the
 representation greedily; `enumerate_all_representations` is the brute-force
 uniqueness oracle, an unpruned search over every digit on every repunit up
-to k. Both check p through `number_core._require_prime`, which for
-`decompose` is the `RepunitDecomposition` constructor's one proof.
+to k. Both prove p once through `number_core._require_prime`. `decompose`
+returns a trusted record; the tests and `verify` rebuild its results
+through the constructor, which checks the digit invariants.
 """
 
 from __future__ import annotations
 
-from .errors import NotPrimeError, SearchBudgetError
+from .errors import SearchBudgetError
 from .number_core import _check_int, _Record, _repunit, _require_prime
 
 SEARCH_BUDGET = 1_000_000  # the most nodes enumerate_all_representations visits
@@ -48,19 +49,26 @@ class RepunitDecomposition(_Record):
             raise ValueError(f"final digit must be in 1..{self.p}, got {last}")
 
 
+def _trusted_repunit_decomposition(p: int, terms: tuple) -> RepunitDecomposition:
+    """RepunitDecomposition(p, terms) without its checks, for a proven prime p."""
+    d = object.__new__(RepunitDecomposition)
+    object.__setattr__(d, "p", p)
+    object.__setattr__(d, "terms", terms)
+    return d
+
+
 def decompose(k: int, p: int) -> RepunitDecomposition:
     """The unique repunit-base representation of 1 <= k <= INT64_MAX for prime p.
 
     Greedy: take the largest repunit a_n <= remainder, digit = remainder
     // a_n, and repeat on the rest, one place down at a time: a_n // p =
     a_{n-1} since a_n = p*a_{n-1} + 1. The base's carry structure
-    guarantees the greedy digits always satisfy the invariants, so any
-    violation is surfaced as a bug by the record's check rather than
-    clamped. That check is also the one primality proof of p.
+    guarantees the greedy digits always satisfy the invariants, so the
+    record skips the constructor's checks (the tests and `verify` rebuild
+    it to catch a bug) and `_require_prime` is the one proof of p.
     """
     _check_int("k", k, 1)  # above INT64_MAX, recompose may leave the 128-bit range
-    if p < 2:  # the walk up the repunits would never end
-        raise NotPrimeError(p)
+    _require_prime(p)  # before the walk up the repunits, which p < 2 would never end
     a, n = 1, 1  # the repunit a_n
     while a * p < k:  # a_{n+1} = p*a_n + 1 <= k
         a = a * p + 1
@@ -72,14 +80,14 @@ def decompose(k: int, p: int) -> RepunitDecomposition:
             terms.append((n, digit))
         a //= p
         n -= 1
-    return RepunitDecomposition(p, tuple(terms))
+    return _trusted_repunit_decomposition(p, tuple(terms))
 
 
 def recompose(d: RepunitDecomposition) -> int:
     """Inverse of decompose: the sum of digit * repunit(p, exponent).
 
-    The decomposition proved d.p on construction, so the repunits skip the
-    public re-proof.
+    d.p was proven when d was built, by its constructor or by `decompose`,
+    so the repunits skip the public re-proof.
     """
     return sum(t * _repunit(d.p, n) for n, t in d.terms)
 

@@ -15,7 +15,7 @@ from .applications import (
 )
 from .eta import _eta_p, eta, eta_oracle, eta_p, eta_p_oracle, eta_p_preimage
 from .number_core import SMALL_PRIMES, _check_int, _Record, factorize, first_primes
-from .repunit_repr import decompose, recompose
+from .repunit_repr import RepunitDecomposition, decompose, recompose
 
 
 # The largest max_k and max_zeros VerifyConfig takes. Measured with Python
@@ -98,7 +98,8 @@ def check_repunit_round_trip(cfg: VerifyConfig) -> CheckOutcome:
     primes = first_primes(cfg.primes)
     for p in primes:
         for k in range(1, cfg.max_k + 1):
-            back = recompose(decompose(k, p))
+            d = decompose(k, p)  # trusted: the constructor checks its digits
+            back = recompose(RepunitDecomposition(d.p, d.terms))
             if back != k:
                 failures.append(f"recompose(decompose({k}, {p})) = {back}")
     return _outcome(

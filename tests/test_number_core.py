@@ -382,6 +382,21 @@ def test_factorize_splits_prime_powers_without_rho(monkeypatch, root, exponent):
     assert factorize(root**exponent).factors == (PrimePower(root, exponent),)
 
 
+@pytest.mark.parametrize("exponent", [2, 3])
+def test_factorize_splits_a_composite_root_once(monkeypatch, exponent):
+    calls = []
+    rho = number_core._pollard_rho
+
+    def counting_rho(n):
+        calls.append(n)
+        return rho(n)
+
+    monkeypatch.setattr(number_core, "_pollard_rho", counting_rho)
+    f = factorize((1031 * 1033) ** exponent)
+    assert f.factors == (PrimePower(1031, exponent), PrimePower(1033, exponent))
+    assert calls == [1031 * 1033]
+
+
 def test_factorize_matches_sympy_on_hard_families():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(14)

@@ -3,15 +3,31 @@
 Each record compares and hashes by its fields, prints as
 `Name(field=value, ...)`, refuses attribute assignment and deletion, takes
 its fields by keyword or position, survives pickle and copy, and matches a
-positional class pattern.
+positional class pattern. The records the library builds itself skip their
+validators, so every one its producers return must pass the validating
+constructor unchanged.
 """
 
 import copy
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kempner import EtaResult, Factorization, PrimePower, RepunitDecomposition, ZerosSolution
+from kempner import (
+    INT64_MAX,
+    EtaResult,
+    Factorization,
+    PrimePower,
+    RepunitDecomposition,
+    ZerosSolution,
+    decompose,
+    eta,
+    factorize,
+    parse_factored_expr,
+    solve_trailing_zeros,
+)
 from kempner.verify import CheckOutcome, VerifyConfig
 
 FACTORS = (PrimePower(2, 3), PrimePower(5, 1))
@@ -136,3 +152,51 @@ def _matched(record):
 def test_positional_match_patterns(cls, fields, _, __):
     assert cls.__match_args__ == tuple(fields)
     assert _matched(cls(**fields)) == tuple(fields.values())
+
+
+# from 2 up to the largest prime below 2^63, across is_prime's tiers
+PRIMES = (2, 3, 5, 7, 1031, 65521, 2**31 - 1, 2**61 - 1, 9223372036854775783)
+
+
+def assert_rebuilds(record):
+    """The validating constructor accepts the record's fields and gives an equal record."""
+    twin = type(record)(*record._values())
+    assert twin == record and hash(twin) == hash(record)
+    for power in getattr(record, "factors", ()):
+        assert_rebuilds(power)
+
+
+def assert_eta_rebuilds(f):
+    if all(pp.prime * pp.exponent <= INT64_MAX for pp in f.factors):
+        assert_rebuilds(eta(f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-INT64_MAX, INT64_MAX).filter(bool))
+def test_factorize_and_eta_results_rebuild(n):
+    f = factorize(n)
+    assert_rebuilds(f)
+    assert_eta_rebuilds(f)
+
+
+@settings(max_examples=200)
+@given(
+    st.booleans(),
+    st.lists(st.tuples(st.sampled_from(PRIMES), st.integers(1, 10**6)), min_size=1, max_size=6),
+)
+def test_parsed_factorizations_and_their_eta_rebuild(negative, terms):
+    f = parse_factored_expr("-" * negative + "*".join(f"{p}^{a}" for p, a in terms))
+    assert_rebuilds(f)
+    assert_eta_rebuilds(f)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, INT64_MAX), st.sampled_from(PRIMES))
+def test_decompositions_rebuild(k, p):
+    assert_rebuilds(decompose(k, p))
+
+
+@settings(max_examples=300)
+@given(st.integers(0, INT64_MAX // 5))
+def test_zeros_solutions_rebuild(z):
+    assert_rebuilds(solve_trailing_zeros(z))

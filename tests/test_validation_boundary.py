@@ -31,8 +31,9 @@ from kempner import (
     solve_trailing_zeros,
     trailing_zeros,
 )
-from kempner import number_core
+from kempner import number_core, verify
 from kempner.eta import _eta_p
+from kempner.repunit_repr import _trusted_repunit_decomposition
 from kempner.verify import VerifyConfig
 
 P31 = 2**31 - 1
@@ -146,6 +147,16 @@ def test_hand_built_non_primes_still_rejected():
         RepunitDecomposition(4, ((1, 1),))
     with pytest.raises(NotPrimeError):
         Factorization(1, (PrimePower(4, 2),))
+
+
+def test_verify_checks_the_digits_decompose_no_longer_checks(monkeypatch):
+    # one digit k on a_1 = 1 still sums to k, so only the digit bound is broken
+    def one_term(k, p):
+        return _trusted_repunit_decomposition(p, ((1, k),))
+
+    monkeypatch.setattr(verify, "decompose", one_term)
+    with pytest.raises(ValueError, match="final digit must be in 1..2, got 3$"):
+        verify.check_repunit_round_trip(VerifyConfig(max_k=3, primes=1))
 
 
 def test_decompose_rejects_non_primes_below_two_and_above():
