@@ -12,9 +12,9 @@ value, low)` raises `ValueError` below low and `OverflowError` above
 INT64_MAX, naming the argument and value; a would-be prime above INT64_MAX
 gets that same `OverflowError`. The private twins `_repunit` and
 `_legendre` skip the prime proof for callers that already hold a proven
-prime. `factorize` proves each prime it finds once (trial division yields
-primes by construction, and `_factor_cofactor` states the rule for what is
-left).
+prime. `factorize` proves each prime it finds once (the least-factor
+table and the trial primes yield primes by construction, and
+`_factor_cofactor` states the rule for what is left).
 
 The result records of the package (`PrimePower` and `Factorization` here,
 and those of `eta`, `repunit_repr`, `applications` and `verify`) share the
@@ -23,20 +23,26 @@ small base `_Record` rather than `dataclasses`, whose import pulls in
 constructors validate; what the library computed itself it returns through
 each record's trusted builder (see `_Record`), which skips the validator.
 
-`factorize` trial-divides a single n by the primes below 2^10 only; a
-cofactor below 2^20 is then prime (the next prime is 1031 and
-1031^2 > 2^20), and anything larger goes to `is_prime` and, unless it is
-a perfect square, cube or fifth power, to Brent's rho (Brent, BIT 20,
-1980). `_factor_range` factors a whole range [start, end] for `table` and
-the prime scan: a segmented sieve of Eratosthenes (Bays & Hudson, BIT 17,
-1977) divides each base prime up to min(2^16, sqrt(end)) out of its
-multiples, so a cofactor below 2^32 is prime. Both hand what is left of
-each n, with their bound, to `_factor_cofactor`, the one cofactor rule.
+`factorize` reads an n below 2^16 off the least-factor table below. A
+larger n is screened by one gcd with the product of the 172 primes below
+2^10, and only the primes that divide that gcd are divided out; what is
+left has no prime factor up to 1021, so below 2^20 it is prime (the next
+prime is 1031 and 1031^2 > 2^20), and anything larger goes to `is_prime`
+and, unless it is a perfect square, cube or fifth power, to Brent's rho
+(Brent, BIT 20, 1980). `_factor_range` factors a whole range [start, end]
+for `table` and the prime scan: a segmented sieve of Eratosthenes (Bays &
+Hudson, BIT 17, 1977) divides each base prime up to min(2^16, sqrt(end))
+out of its multiples, so a cofactor below 2^32 is prime. Both hand what is
+left of each n, with their bound, to `_factor_cofactor`, the one cofactor
+rule.
 
-The numbers up to 2^16 are sieved once at import into an immutable `bytes`
-table of prime flags: `is_prime` answers n < 2^16 by one lookup in it.
-`SMALL_PRIMES`, the primes below 2^16 that `_factor_range` and
-`first_primes` read, is extracted from the table with `itertools.compress`.
+The numbers below 2^16 are sieved once at import into `_LEAST`, an
+immutable `bytes` table of least prime factors (0 for a prime and below 2):
+`factorize` divides n < 2^16 by `_LEAST[n] or n` until 1 is left, which
+yields its primes in increasing order, and `is_prime` answers n < 2^16 by
+one lookup in it. `SMALL_PRIMES`, the primes below 2^16 that
+`_factor_range` and `first_primes` read, is extracted from the table with
+`itertools.compress`.
 Above 2^16, `is_prime` is deterministic and sized to n: Miller-Rabin with
 bases 2, 7, 61 below 4,759,123,141 and 2, 3, 5, 7, 11 below
 2,152,302,898,747 (each bound is the first strong pseudoprime to its bases;
@@ -52,7 +58,7 @@ import random
 from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import NotPrimeError, ZeroInputError
 
@@ -60,22 +66,33 @@ INT64_MAX = 2**63 - 1
 INT128_MAX = 2**127 - 1
 
 
-def _sieve(limit: int) -> bytes:
-    """Flags for 0..limit: flags[n] is 1 exactly when n is prime."""
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
-    return bytes(flags)
+def _least_factors() -> bytes:
+    """The least prime factor of each composite n < 2^16, 0 for the rest.
+
+    That factor is at most 255, so the table is one byte per n. The
+    primes below 2^4 mark the composites below 2^8; then the multiples of
+    each prime p below 2^8, from p^2 on, are written, largest p first, so
+    that the least prime factor of n is the last value written at n.
+    """
+    least = bytearray(1 << 16)
+    for p in (2, 3, 5, 7, 11, 13):
+        least[p * p : 1 << 8 : p] = b"\1" * len(range(p * p, 1 << 8, p))
+    for p in reversed([p for p in range(2, 1 << 8) if not least[p]]):
+        least[p * p :: p] = bytes([p]) * len(range(p * p, 1 << 16, p))
+    return bytes(least)
 
 
-# Both immutable: the flags for 0..2^16 and the primes below 2^16, which are
-# 2 and the odd n whose flag is set.
-_SMALL_FLAGS = _sieve(1 << 16)
-SMALL_PRIMES = (2, *compress(range(3, len(_SMALL_FLAGS), 2), _SMALL_FLAGS[3::2]))
-# factorize's trial divisors, the 172 primes below 2^10
+# All immutable: the least-factor table for 0..2^16 - 1, the primes below
+# 2^16, which are 2 and the odd n >= 3 with a 0 entry (the translation maps
+# 0 to 1 and the rest to 0), and factorize's trial divisors, the 172 primes
+# below 2^10, with their product (1,420 bits).
+_LEAST = _least_factors()
+SMALL_PRIMES = (
+    2,
+    *compress(range(3, 1 << 16, 2), _LEAST[3::2].translate(bytes([1]) + bytes(255))),
+)
 _TRIAL_PRIMES = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, 1 << 10)]
+_TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 
 # (bound, witnesses): `is_prime` tests n with the first tier where n < bound.
 # The first two bounds are the smallest strong pseudoprimes to their bases
@@ -96,13 +113,14 @@ _MR_TIERS = (
 def is_prime(n: int) -> bool:
     """Exact primality test for 0 <= n <= INT64_MAX.
 
-    n < 2^16 is looked up in the import-time sieve. Above that, deterministic
-    Miller-Rabin with 3 witnesses (2, 7, 61) below 4,759,123,141 and 5 (2 to
-    11) below 2,152,302,898,747 (both bounds from Jaeschke, 1993); from there
-    up to INT64_MAX, Baillie-PSW: witness 2, then `_strong_lucas` (Baillie &
-    Wagstaff, 1980; no composite below 2^64 passes both, per Baillie, Fiori &
-    Wagstaff, 2021). Raises OverflowError above the supported range rather
-    than degrading to a probabilistic answer.
+    n < 2^16 is prime when its entry in the least-factor table is 0. Above
+    that, deterministic Miller-Rabin with 3 witnesses (2, 7, 61) below
+    4,759,123,141 and 5 (2 to 11) below 2,152,302,898,747 (both bounds from
+    Jaeschke, 1993); from there up to INT64_MAX, Baillie-PSW: witness 2,
+    then `_strong_lucas` (Baillie & Wagstaff, 1980; no composite below 2^64
+    passes both, per Baillie, Fiori & Wagstaff, 2021). Raises OverflowError
+    above the supported range rather than degrading to a probabilistic
+    answer.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -111,7 +129,7 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n < (1 << 16):
-        return _SMALL_FLAGS[n] == 1
+        return not _LEAST[n]
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return False
@@ -400,9 +418,9 @@ def _factor_cofactor(n: int, acc: dict[int, int], proven_below: int, times: int 
     # Adds times * v_q(n) to acc[q] for each prime q | n.
     # n > 1 has no prime factor up to min(t, sqrt(n)), t the caller's last trial
     # prime, so below proven_below <= (next prime after t)^2 it is prime:
-    # factorize passes 2^20 (t = 1021, then 1031), _factor_range 2^32
-    # (t = 65521, then 65537). Every key of acc is a proven prime, so a factor
-    # already there is not proven again.
+    # factorize, which has divided out every prime up to t = 1021, passes 2^20
+    # (1031 is next), _factor_range 2^32 (t = 65521, then 65537). Every key of
+    # acc is a proven prime, so a factor already there is not proven again.
     if n < proven_below or n in acc or is_prime(n):
         acc[n] = acc.get(n, 0) + times
         return
@@ -425,9 +443,11 @@ def _factor_cofactor(n: int, acc: dict[int, int], proven_below: int, times: int 
 def factorize(n: int) -> Factorization:
     """Unique factorization of a nonzero signed integer with |n| <= INT64_MAX.
 
-    Trial division over the primes below 2^10; a remaining cofactor below
-    2^20 is prime, and a larger one is certified by `is_prime`, or split by
-    its root if it is a perfect power, or else by Brent's rho.
+    |n| < 2^16 is read off the least-factor table. A larger |n| loses the
+    primes below 2^10 that divide gcd(|n|, their product); a remaining
+    cofactor below 2^20 is prime, and a larger one is certified by
+    `is_prime`, or split by its root if it is a perfect power, or else by
+    Brent's rho.
     """
     if n == 0:
         raise ZeroInputError("0 has no prime factorization (eta is undefined at 0)")
@@ -437,17 +457,34 @@ def factorize(n: int) -> Factorization:
         raise OverflowError(
             f"|n| exceeds the 64-bit limit ({INT64_MAX}); supply large inputs in factored form"
         )
-    exponents: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
-        if p * p > m:
-            break
-        while m % p == 0:
-            exponents[p] = exponents.get(p, 0) + 1
+    factors: list[PrimePower] = []
+    if m < 1 << 16:
+        while m > 1:
+            p = _LEAST[m] or m
             m //= p
+            a = 1
+            while m % p == 0:
+                m //= p
+                a += 1
+            factors.append(_trusted_prime_power(p, a))
+        return _trusted_factorization(sign, tuple(factors))
+    g = gcd(m, _TRIAL_PRODUCT)  # the product of the trial primes dividing m
+    for p in _TRIAL_PRIMES:
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
+            m //= p
+            a = 1
+            while m % p == 0:
+                m //= p
+                a += 1
+            factors.append(_trusted_prime_power(p, a))
     if m > 1:
-        _factor_cofactor(m, exponents, 1 << 20)
-    factors = tuple(_trusted_prime_power(p, a) for p, a in sorted(exponents.items()))
-    return _trusted_factorization(sign, factors)
+        rest: dict[int, int] = {}
+        _factor_cofactor(m, rest, 1 << 20)
+        factors.extend(_trusted_prime_power(p, a) for p, a in sorted(rest.items()))
+    return _trusted_factorization(sign, tuple(factors))
 
 
 _SEGMENT = 1 << 12  # numbers per sieve segment, which bounds memory near 2^63

@@ -300,10 +300,18 @@ def test_factorize_known_values():
 
 
 def test_factorize_round_trip_exhaustive():
-    for n in range(-10_000, 10_001):
-        if n == 0:
-            continue
-        assert factorize(n).value() == n
+    # across the end of the 2^16 least-factor table; the primes are checked
+    # by trial division, independently of the table that is_prime reads too
+    checked = set()
+    for n in [*range(-10_000, 0), *range(1, 70_001)]:
+        f = factorize(n)
+        assert f.value() == n
+        primes = [pp.prime for pp in f.factors]
+        assert all(a < b for a, b in zip(primes, primes[1:])), n
+        for p in primes:
+            if p not in checked:
+                assert trial_division_is_prime(p), n
+                checked.add(p)
 
 
 def test_factorize_rejects_zero_and_overflow():
@@ -314,7 +322,7 @@ def test_factorize_rejects_zero_and_overflow():
 
 
 def test_factorize_beyond_trial_division():
-    # both factors exceed the 2^16 trial-division table
+    # both factors exceed the 2^16 least-factor table and the trial primes
     p, q = 65537, 2**31 - 1
     f = factorize(p * q)
     assert [(pp.prime, pp.exponent) for pp in f.factors] == [(p, 1), (q, 1)]
@@ -330,9 +338,10 @@ def test_factorize_round_trip_sampled(n):
     assert all(is_prime(pp.prime) for pp in f.factors)
 
 
-# factorize trial-divides by the primes up to 1021 and calls a cofactor below
-# 2^20 prime; these straddle that edge (1031 is the next prime, 1033 the one
-# after), and the pseudoprimes and Carmichael number have no factor <= 1021
+# factorize reads n < 2^16 off its least-factor table; above, it divides out
+# the primes up to 1021 that divide n and calls a cofactor below 2^20 prime.
+# These straddle both edges (1031 is the next prime, 1033 the one after), and
+# the pseudoprimes and Carmichael number have no factor <= 1021
 @pytest.mark.parametrize(
     "n, factors",
     [
@@ -345,6 +354,17 @@ def test_factorize_round_trip_sampled(n):
         (2152302898747, [(6763, 1), (10627, 1), (29947, 1)]),  # strong pseudoprime
         (3474749660383, [(1303, 1), (16927, 1), (157543, 1)]),  # strong pseudoprime
         (1171 * 2341 * 3511, [(1171, 1), (2341, 1), (3511, 1)]),  # Chernick Carmichael
+        # the end of the least-factor table, where the gcd screen takes over
+        (65535, [(3, 1), (5, 1), (17, 1), (257, 1)]),
+        (65536, [(2, 16)]),
+        (65537, [(65537, 1)]),
+        (3 * 2**16, [(2, 16), (3, 1)]),
+        # 47#: the scan over the trial primes runs on to 47
+        (614889782588491410, [(p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)]),
+        (5**5 * 13**5, [(5, 5), (13, 5)]),
+        (1021**6, [(1021, 6)]),
+        (2**62, [(2, 62)]),
+        (143695168124681219, [(1021, 1), (65537, 1), (2**31 - 1, 1)]),
     ],
 )
 def test_factorize_at_the_trial_division_edge(n, factors):

@@ -84,8 +84,9 @@ def test_kernel_at_the_64_bit_edge(p):
         (lambda: factorize(P31**2), [P31**2, P31]),
         # the decomposition proves 3 once and recompose trusts it
         (lambda: recompose(decompose(10**6, 3)), [3]),
-        # 1031^2 > 2^20 is the least composite that trial division below 2^10
-        # leaves: it gets one Miller-Rabin run, its factor 1031 < 2^20 none
+        # 1031^2 > 2^20 is the least composite left once the primes below 2^10
+        # are divided out: it gets one Miller-Rabin run, its factor 1031 < 2^20
+        # none
         (lambda: factorize(1031**2), [1031**2]),
     ],
     ids=[
