@@ -1,14 +1,14 @@
 """The Kempner function and its prime-power restriction.
 
-eta_p(k) is the smallest m with p^k | m!, computed by expanding k in the
-repunit base of p and reading the digits against plain powers of p:
-k = sum t_i * a_{n_i}  ->  eta_p(k) = sum t_i * p^{n_i}.
+eta_p(k) is the smallest m with p^k | m!: with k = sum t_i * a_{n_i} in the
+repunit base of p, eta_p(k) = sum t_i * p^{n_i} = (p-1)*k + sum t_i, since
+p^n = (p-1)*a_n + 1; the kernel takes the second form and forms no power.
 
 eta(n) for a factored n = sign * p1^a1 * ... * ps^as is the largest of the
 per-prime values eta_{p_i}(a_i), and 0 for n = +/-1. Both come with dumb
 search oracles (`eta_p_oracle`, `eta_oracle`) that realize the defining
 property directly so the closed-form path can be cross-checked, and
-`eta_p_preimage` inverts eta_p on its image.
+`eta_p_preimage` inverts eta_p on its image with Legendre's v_p(m!).
 
 Validation happens once, at the public boundary: `eta_p`, `eta_p_oracle` and
 `eta_p_preimage` check k or m through `number_core._check_int` and p through
@@ -67,25 +67,21 @@ def _trusted_eta_result(value: int, per_prime: tuple, argmax_prime: int | None) 
 
 
 def _eta_p(k: int, p: int) -> int:
-    """eta_p(k) for k >= 1 and prime p, arguments unchecked.
-
-    The greedy repunit-base expansion of `decompose`, with each digit t of
-    the repunit a_n = (p^n - 1)/(p - 1) added as t * p^n on the spot. One
-    place down is a floor division by p of both: a_n // p = a_{n-1} since
-    a_n = p*a_{n-1} + 1, and the last place, a_1 = 1, takes the remainder.
-    It repeats `decompose`'s walk on purpose: a shared digit kernel was
-    measured slower on the `table` and `factored` benchmark workloads.
+    """eta_p(k) for k >= 1 and prime p, arguments unchecked: (p-1)*k plus
+    the digit sum of k in the repunit base of p, as a digit t of the repunit
+    a_n = (p^n - 1)/(p - 1) stands for t * p^n = (p-1) * t * a_n + t. The
+    digits come from `decompose`'s greedy walk, repeated here on purpose (a
+    shared digit kernel was measured slower on the `table` and `factored`
+    benchmark workloads); a_n // p = a_{n-1}, as a_n = p*a_{n-1} + 1.
     """
-    repunit, power = 1, p
+    repunit = 1
     while repunit * p < k:  # a_{n+1} = p*a_n + 1 <= k
         repunit = repunit * p + 1
-        power *= p
-    m = 0
+    m = (p - 1) * k
     while k:
         digit, k = divmod(k, repunit)
-        m += digit * power
+        m += digit
         repunit //= p
-        power //= p
     return m
 
 
@@ -168,19 +164,12 @@ def eta_oracle(n: Factorization) -> int:
 def eta_p_preimage(m: int, p: int) -> int:
     """A k with eta_p(k, p) == m, for any m >= 2 divisible by p.
 
-    Reads the base-p digits of m = sum d_i * p^i and returns
-    k = sum d_i * a_i over the repunits of p. Divisibility by p puts every
-    nonzero digit at exponent >= 1, which is exactly what makes the digit
-    list a valid repunit-base representation, so eta_p maps k back to m.
+    k = sum d_i * a_i over the base-p digits d_i of m and the repunits a_i
+    of p is a repunit-base form (p | m puts each nonzero d_i at i >= 1), so
+    eta_p(k) = m; it is (m - s_p(m))/(p - 1) = v_p(m!), Legendre's formula.
     """
     _check_int("m", m, 2)
     _require_prime(p)
     if m % p != 0:
         raise ValueError(f"{p} does not divide {m}: m is not in the image of eta_{p}")
-    k = 0
-    rest, repunit = m, 0  # a_i for the digit d_i; a_0 = 0 meets d_0 = 0 as p | m
-    while rest:
-        rest, digit = divmod(rest, p)
-        k += digit * repunit
-        repunit = repunit * p + 1
-    return k
+    return _legendre(m, p)

@@ -10,6 +10,7 @@ from kempner import (
     INT64_MAX,
     NotPrimeError,
     PrimePower,
+    decompose,
     eta,
     eta_oracle,
     eta_p,
@@ -19,6 +20,7 @@ from kempner import (
     first_primes,
     legendre_valuation,
 )
+from kempner.eta import _eta_p
 
 FIRST_TEN_PRIMES = first_primes(10)
 
@@ -80,6 +82,14 @@ def test_eta_p_multiple_of_p_and_bounded(p, k):
     m = eta_p(k, p)
     assert m % p == 0
     assert m <= p * k
+
+
+@given(p=st.sampled_from([2, 3, 65521, 2**31 - 1]), data=st.data())
+@settings(max_examples=300)
+def test_eta_p_is_p_minus_one_times_k_plus_repunit_digit_sum(p, data):
+    # p^n = (p-1)*a_n + 1 turns sum t_i * p^{n_i} into (p-1)*k + sum t_i
+    k = data.draw(st.one_of(st.integers(1, 2000), st.integers(1, INT64_MAX // p)))
+    assert _eta_p(k, p) == (p - 1) * k + sum(t for _, t in decompose(k, p).terms)
 
 
 def test_eta_p_defining_property_by_valuation():
@@ -178,6 +188,13 @@ def test_preimage_inverts_eta_p():
     for m in range(2, 501):
         p = next(q for q in range(2, m + 1) if m % q == 0)
         assert eta_p(eta_p_preimage(m, p), p) == m
+        assert eta_p_preimage(m, p) == legendre_valuation(m, p)
+    for p in (2, 3, 65521, 2**31 - 1):
+        top = INT64_MAX // p * p  # the largest multiple of p in range
+        for m in (top, top - p, p * p):
+            k = eta_p_preimage(m, p)
+            assert k == legendre_valuation(m, p)
+            assert _eta_p(k, p) == m  # the kernel: p*k may pass eta_p's 64-bit bound
 
 
 def test_preimage_domain():

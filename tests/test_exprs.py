@@ -18,7 +18,7 @@ from kempner import (
     first_primes,
     parse_factored_expr,
 )
-from kempner.exprs import _TOKEN
+from kempner.exprs import _EXPR, _TOKEN, _syntax_error
 
 
 def fact(sign, *terms):
@@ -188,3 +188,18 @@ def test_whitespace_is_exactly_str_isspace():
     for c in range(0x3001):
         assert (_TOKEN.match(chr(c)) is None) == chr(c).isspace(), hex(c)
     assert parse_factored_expr("2 *\u30003") == fact(1, (2, 1), (3, 1))
+
+
+# digits, operators, ASCII and Unicode spaces, and three characters that are
+# no token: a letter, a superscript digit and an Arabic-Indic digit
+GRAMMAR_ALPHABET = list("0123456789*^-") + [" ", "\t", "\n", "\u00a0", "\u3000", "x", "\u00b2", "\u0663"]
+
+
+@given(st.text(GRAMMAR_ALPHABET, max_size=14))
+@settings(max_examples=1000)
+def test_grammar_accepts_exactly_what_the_token_walk_accepts(text):
+    try:
+        walk_error = _syntax_error(text)
+    except AssertionError:  # the walk found no fault
+        walk_error = None
+    assert (_EXPR.fullmatch(text) is not None) == (walk_error is None), walk_error
