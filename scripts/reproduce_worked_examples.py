@@ -47,9 +47,12 @@ def main() -> None:
 
     print()
     print("Which m! end in exactly 1000 zeros?")
-    print("  zeros of m! = valuation of 5 in m!, so solve eta_5(1000):")
-    show_eta_p(1000, 5)
+    print("  m! ends in >= z zeros iff 10^z | m! iff m >= eta(10^z) = eta_5(z):")
+    start = show_eta_p(1000, 5)
+    stop = show_eta_p(1001, 5)
     solution = solve_trailing_zeros(1000)
+    assert solution.members == tuple(range(start, stop))
+    print(f"  members run from eta_5(1000) = {start} to eta_5(1001) - 1 = {stop - 1}")
     print(f"  members: {' '.join(map(str, solution.members))}")
     after = solution.members[-1] + 1
     print(f"  boundary: {after}! has {trailing_zeros(after)} zeros, so the range stops there")

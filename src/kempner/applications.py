@@ -1,6 +1,10 @@
 """Worked problems built on eta: trailing zeros of factorials and their
 inverse, smallest factorial multiples of factored targets, a prime
 characterization scan, and table emission for regression and cross-checks.
+
+The inverse is eta applied twice: m! ends in at least z zeros exactly when
+10^z | m!, that is, when m >= eta(10^z) = eta_5(z), so the m with exactly z
+zeros are eta_5(z) <= m < eta_5(z + 1).
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ SCAN_LIMIT = 10**6  # the largest limit prime_characterization_scan takes
 
 
 class ZerosSolution(_Record):
-    """All m >= 1 whose factorial ends in exactly z zeros.
+    """All m >= 1 whose factorial ends in exactly z zeros: the m with
+    eta_5(z) <= m < eta_5(z + 1), as 10^z | m! exactly when m >= eta(10^z).
 
-    members is ascending and contiguous: empty when no factorial attains z
-    (the count jumps past it at a higher power of 5), (1, 2, 3, 4) for
-    z = 0 (m = 0 is not a member), otherwise exactly the five integers from
-    one multiple of 5 up to the next.
+    members is empty when eta_5(z + 1) = eta_5(z) (the count jumps past z
+    at a higher power of 5), (1, 2, 3, 4) for z = 0, otherwise five
+    integers. The validator compares it with `_zeros_members(z)`.
     """
 
     __slots__ = __match_args__ = ("z", "members")
@@ -40,16 +44,9 @@ class ZerosSolution(_Record):
         self.__post_init__()
 
     def __post_init__(self):
-        if self.z == 0 and self.members == (1, 2, 3, 4):
-            return
-        if len(self.members) not in (0, 5):
-            raise ValueError(f"members must have 0 or 5 elements, got {len(self.members)}")
-        if self.members:
-            first = self.members[0]
-            if self.members != tuple(range(first, first + 5)):
-                raise ValueError(f"members must be contiguous, got {self.members}")
-            if first % 5 != 0:
-                raise ValueError(f"members must start at a multiple of 5, got {first}")
+        expected = _zeros_members(self.z)
+        if self.members != expected:
+            raise ValueError(f"members of z = {self.z} must be {expected}, got {self.members}")
 
 
 def _trusted_zeros_solution(z: int, members: tuple[int, ...]) -> ZerosSolution:
@@ -58,6 +55,16 @@ def _trusted_zeros_solution(z: int, members: tuple[int, ...]) -> ZerosSolution:
     object.__setattr__(solution, "z", z)
     object.__setattr__(solution, "members", members)
     return solution
+
+
+def _zeros_members(z: int) -> tuple[int, ...]:
+    """The m >= 1 with eta(10^z) <= m < eta(10^(z + 1)); checks z first."""
+    _check_int("z", z, 0)
+    if z > INT64_MAX // 5:  # every member is below eta_5(z + 1) <= 5z + 5
+        raise OverflowError(f"z must be <= {INT64_MAX // 5}, got {z}")
+    # eta(10^z) = max(eta_2(z), eta_5(z)), and (p-1)k < eta_p(k) <= pk gives
+    # eta_2(z) <= 2z < eta_5(z) for z >= 1, so the prime 2 never decides
+    return tuple(range(max(1, _eta_p(z, 5)), _eta_p(z + 1, 5)))
 
 
 def trailing_zeros(m: int) -> int:
@@ -71,27 +78,9 @@ def trailing_zeros(m: int) -> int:
 
 
 def solve_trailing_zeros(z: int) -> ZerosSolution:
-    """All m >= 1 whose factorial has exactly z >= 0 trailing zeros.
-
-    z = 0 is answered by 1..4. Otherwise the least candidate is eta_5(z);
-    eta_2(z) <= eta_5(z) is checked at runtime instead of assumed, so eta
-    of 10^z never has to be formed. If the candidate overshoots z, no
-    factorial attains z and the solution is empty; otherwise it is the five
-    integers up to the next multiple of 5.
-    """
-    _check_int("z", z, 0)
-    if z > INT64_MAX // 5:  # eta_5(z) <= 5z must stay within 64 bits
-        raise OverflowError(f"z must be <= {INT64_MAX // 5}, got {z}")
-    if z == 0:
-        return _trusted_zeros_solution(0, (1, 2, 3, 4))
-    candidate = _eta_p(z, 5)  # 1 <= z and 5z <= INT64_MAX, as eta_p requires
-    if _eta_p(z, 2) > candidate:
-        raise RuntimeError(f"eta_2({z}) > eta_5({z}): 2-adic side cannot dominate")
-    if _legendre(candidate, 5) != z:
-        return _trusted_zeros_solution(z, ())
-    if _legendre(candidate + 5, 5) <= z:
-        raise RuntimeError(f"zero count fails to increase after {candidate + 4}")
-    return _trusted_zeros_solution(z, tuple(range(candidate, candidate + 5)))
+    """All m >= 1 whose factorial has exactly z >= 0 trailing zeros: the
+    range from eta_5(z) up to eta_5(z + 1), less m = 0 (see ZerosSolution)."""
+    return _trusted_zeros_solution(z, _zeros_members(z))
 
 
 def smallest_factorial_multiple(n: Factorization) -> EtaResult:
@@ -112,7 +101,7 @@ def prime_characterization_scan(limit: int) -> list[int]:
         raise SearchBudgetError(f"scan limit {limit} exceeds budget {SCAN_LIMIT}")
     violations = []
     for n, factors in _factor_range(5, limit):
-        if (max(_eta_p(a, p) for p, a in factors) == n) != is_prime(n):
+        if (_eta_witness(factors)[0] == n) != is_prime(n):
             violations.append(n)
     return violations
 

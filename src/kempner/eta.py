@@ -18,7 +18,7 @@ construction) but still checks the p*k range, since a caller may have built
 it, and returns a trusted `EtaResult` (`_trusted_eta_result`). The kernel
 `_eta_p` trusts its arguments entirely and checks nothing, and so does
 `_eta_witness`, the one place that picks eta's value and argmax prime out
-of the per-prime values; the table rows in `applications` call it directly.
+of the per-prime values; `applications` calls it per table row and scan n.
 """
 
 from __future__ import annotations
@@ -67,11 +67,11 @@ def _trusted_eta_result(value: int, per_prime: tuple, argmax_prime: int | None) 
 
 
 def _eta_p(k: int, p: int) -> int:
-    """eta_p(k) for k >= 1 and prime p, arguments unchecked: (p-1)*k plus
-    the digit sum of k in the repunit base of p, as a digit t of the repunit
-    a_n = (p^n - 1)/(p - 1) stands for t * p^n = (p-1) * t * a_n + t. The
-    digits come from `decompose`'s greedy walk, repeated here on purpose (a
-    shared digit kernel was measured slower on the `table` and `factored`
+    """eta_p(k) for k >= 0 (k = 0 gives 0) and prime p, arguments unchecked:
+    (p-1)*k plus the digit sum of k in the repunit base of p, as a digit t of
+    the repunit a_n = (p^n - 1)/(p - 1) stands for t * p^n = (p-1)*t*a_n + t.
+    The digits come from `decompose`'s greedy walk, repeated here on purpose
+    (a shared digit kernel was measured slower on the `table` and `factored`
     benchmark workloads); a_n // p = a_{n-1}, as a_n = p*a_{n-1} + 1.
     """
     repunit = 1

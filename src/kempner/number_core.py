@@ -85,7 +85,8 @@ def _least_factors() -> bytes:
 # All immutable: the least-factor table for 0..2^16 - 1, the primes below
 # 2^16, which are 2 and the odd n >= 3 with a 0 entry (the translation maps
 # 0 to 1 and the rest to 0), and factorize's trial divisors, the 172 primes
-# below 2^10, with their product (1,420 bits).
+# below 2^10, with their product (1,420 bits), and the product of the twelve
+# primes up to 37 that `is_prime` screens with.
 _LEAST = _least_factors()
 SMALL_PRIMES = (
     2,
@@ -93,6 +94,7 @@ SMALL_PRIMES = (
 )
 _TRIAL_PRIMES = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, 1 << 10)]
 _TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
+_PRODUCT_TO_37 = prod(SMALL_PRIMES[:12])
 
 # (bound, witnesses): `is_prime` tests n with the first tier where n < bound.
 # The first two bounds are the smallest strong pseudoprimes to their bases
@@ -130,14 +132,11 @@ def is_prime(n: int) -> bool:
         return False
     if n < (1 << 16):
         return not _LEAST[n]
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return False
+    if gcd(n, _PRODUCT_TO_37) != 1:  # n >= 2^16 > 37, so n is composite
+        return False
     d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
     for bound, witnesses in _MR_TIERS:
         if n < bound:
             break

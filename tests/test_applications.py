@@ -3,8 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kempner import (
+    INT64_MAX,
     SearchBudgetError,
     ZerosSolution,
     emit_table,
@@ -81,6 +84,26 @@ def test_solve_structure():
             assert members[0] == eta_p(z, 5)
 
 
+@given(z=st.one_of(st.integers(0, 2000), st.integers(0, INT64_MAX // 5)))
+@settings(max_examples=300)
+def test_solve_agrees_with_legendre_count(z):
+    # only trailing_zeros decides here: bisect for the least m with >= z zeros
+    lo, hi = 1, 5 * z + 5
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if trailing_zeros(mid) >= z:
+            hi = mid
+        else:
+            lo = mid + 1
+    members = solve_trailing_zeros(z).members
+    if not members:
+        assert trailing_zeros(lo) > z
+        return
+    assert members == tuple(range(lo, members[-1] + 1))
+    assert all(trailing_zeros(m) == z for m in members)
+    assert trailing_zeros(members[-1] + 1) > z
+
+
 def test_solve_domain():
     with pytest.raises(ValueError):
         solve_trailing_zeros(-1)
@@ -101,6 +124,12 @@ def test_zeros_solution_validation():
         ZerosSolution(1, (6, 7, 8, 9, 10))  # not starting at a multiple of 5
     with pytest.raises(ValueError):
         ZerosSolution(1, (1, 2, 3, 4))  # the four-member answer belongs to z = 0 only
+    with pytest.raises(ValueError):
+        ZerosSolution(1, (10, 11, 12, 13, 14))  # right shape, answer of z = 2
+    with pytest.raises(ValueError):
+        ZerosSolution(7, (5, 6, 7, 8, 9))  # right shape, wrong values
+    with pytest.raises(ValueError):
+        ZerosSolution(-1, ())
     assert ZerosSolution(0, (1, 2, 3, 4)).members == (1, 2, 3, 4)
 
 
