@@ -49,12 +49,7 @@ class ZerosSolution(_Record):
             raise ValueError(f"members of z = {self.z} must be {expected}, got {self.members}")
 
 
-def _trusted_zeros_solution(z: int, members: tuple[int, ...]) -> ZerosSolution:
-    """ZerosSolution(z, members) without its check."""
-    solution = object.__new__(ZerosSolution)
-    object.__setattr__(solution, "z", z)
-    object.__setattr__(solution, "members", members)
-    return solution
+_trusted_zeros_solution = ZerosSolution._builder()
 
 
 def _zeros_members(z: int) -> tuple[int, ...]:

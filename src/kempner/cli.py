@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("max_k", "largest k of the eta_p and round-trip checks; the time grows linearly in it"),
         ("max_n", "largest n of the scans; the time grows quadratically in it"),
         ("primes", "how many of the smallest primes the per-prime checks use"),
-        ("max_zeros", "largest z of the trailing-zeros check; the time grows quadratically in it"),
+        ("max_zeros", "largest z of the trailing-zeros check; the time grows linearly in it"),
     ):
         option = "--" + field.replace("_", "-")
         p.add_argument(option, type=integer, default=getattr(defaults, field), help=text)

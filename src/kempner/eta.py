@@ -57,13 +57,7 @@ class EtaResult(_Record):
             raise ValueError("unit factorization must have value 0 and no argmax prime")
 
 
-def _trusted_eta_result(value: int, per_prime: tuple, argmax_prime: int | None) -> EtaResult:
-    """EtaResult(value, per_prime, argmax_prime) without its check."""
-    result = object.__new__(EtaResult)
-    object.__setattr__(result, "value", value)
-    object.__setattr__(result, "per_prime", per_prime)
-    object.__setattr__(result, "argmax_prime", argmax_prime)
-    return result
+_trusted_eta_result = EtaResult._builder()
 
 
 def _eta_p(k: int, p: int) -> int:

@@ -20,8 +20,8 @@ The result records of the package (`PrimePower` and `Factorization` here,
 and those of `eta`, `repunit_repr`, `applications` and `verify`) share the
 small base `_Record` rather than `dataclasses`, whose import pulls in
 `inspect` and `ast` and dominated the start-up of a one-shot CLI call. The
-constructors validate; what the library computed itself it returns through
-each record's trusted builder (see `_Record`), which skips the validator.
+constructors validate; what it computed itself the library returns through
+builders from `_Record._builder`, which skip the validator `__post_init__`.
 
 `factorize` reads an n below 2^16 off the least-factor table below. A
 larger n is screened by one gcd with the product of the 172 primes below
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import compress
 from math import gcd, isqrt, prod
 
@@ -282,15 +282,15 @@ class _Record:
     """Base of kempner's immutable result records.
 
     A record lists its fields in `__slots__`, which is also its
-    `__match_args__`, and writes out its own `__init__`: that sets each field
-    through `object.__setattr__` and, for a record with a validator, ends by
-    calling `__post_init__`, defined on the class itself so that kbench's
-    tracer can wrap it there for its `.validate` spans; its `_trusted_<record>`
-    builder, for values the library computed, is `__init__` without that call.
-    Records compare and hash by their field tuple and print as
-    `Name(field=value, ...)`. Assignment and deletion raise AttributeError,
-    so pickle and copy rebuild a record through its constructor, which
-    validates it again.
+    `__match_args__`. Its `__init__` sets each field through
+    `object.__setattr__` and, for a record with a validator, ends by calling
+    `__post_init__`, defined on the class so that kbench's tracer can wrap it
+    for its `.validate` spans. What the library computed it builds with
+    `_trusted_<record> = <Record>._builder()`, which sets the slots through
+    their member descriptors and skips `__post_init__`. Records compare and
+    hash by their field tuple and print as `Name(field=value, ...)`.
+    Assignment and deletion raise AttributeError, so pickle and copy rebuild a
+    record through its constructor, which validates it again.
     """
 
     __slots__ = ()
@@ -319,6 +319,29 @@ class _Record:
     def __reduce__(self):
         return type(self), self._values()
 
+    @classmethod
+    def _builder(cls) -> Callable:
+        """The `_trusted_<record>` of a record class of two or three fields; any
+        other field count raises TypeError where it is bound, at import."""
+        new = object.__new__
+        match [cls.__dict__[name].__set__ for name in cls.__slots__]:
+            case [set_a, set_b]:
+                def build(a, b):
+                    record = new(cls)
+                    set_a(record, a)
+                    set_b(record, b)
+                    return record
+            case [set_a, set_b, set_c]:
+                def build(a, b, c):
+                    record = new(cls)
+                    set_a(record, a)
+                    set_b(record, b)
+                    set_c(record, c)
+                    return record
+            case setters:
+                raise TypeError(f"{cls.__name__} has {len(setters)} fields, not 2 or 3")
+        return build
+
 
 class PrimePower(_Record):
     """One p^a term of a factorization; prime is checked on construction."""
@@ -335,12 +358,7 @@ class PrimePower(_Record):
         _check_int("exponent", self.exponent, 1)
 
 
-def _trusted_prime_power(prime: int, exponent: int) -> PrimePower:
-    """PrimePower(prime, exponent) without its check, for a proven prime."""
-    power = object.__new__(PrimePower)
-    object.__setattr__(power, "prime", prime)
-    object.__setattr__(power, "exponent", exponent)
-    return power
+_trusted_prime_power = PrimePower._builder()  # for a proven prime
 
 
 class Factorization(_Record):
@@ -371,12 +389,7 @@ class Factorization(_Record):
         return v
 
 
-def _trusted_factorization(sign: int, factors: tuple[PrimePower, ...]) -> Factorization:
-    """Factorization(sign, factors) without its check."""
-    f = object.__new__(Factorization)
-    object.__setattr__(f, "sign", sign)
-    object.__setattr__(f, "factors", factors)
-    return f
+_trusted_factorization = Factorization._builder()
 
 
 def _pollard_rho(n: int) -> int:

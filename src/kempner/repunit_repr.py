@@ -49,12 +49,7 @@ class RepunitDecomposition(_Record):
             raise ValueError(f"final digit must be in 1..{self.p}, got {last}")
 
 
-def _trusted_repunit_decomposition(p: int, terms: tuple) -> RepunitDecomposition:
-    """RepunitDecomposition(p, terms) without its checks, for a proven prime p."""
-    d = object.__new__(RepunitDecomposition)
-    object.__setattr__(d, "p", p)
-    object.__setattr__(d, "terms", terms)
-    return d
+_trusted_repunit_decomposition = RepunitDecomposition._builder()  # for a proven prime p
 
 
 def decompose(k: int, p: int) -> RepunitDecomposition:

@@ -5,7 +5,8 @@ Each record compares and hashes by its fields, prints as
 its fields by keyword or position, survives pickle and copy, and matches a
 positional class pattern. The records the library builds itself skip their
 validators, so every one its producers return must pass the validating
-constructor unchanged.
+constructor unchanged, and a record from a `_trusted_<record>` builder must
+behave like the constructor's.
 """
 
 import copy
@@ -28,6 +29,10 @@ from kempner import (
     parse_factored_expr,
     solve_trailing_zeros,
 )
+from kempner.applications import _trusted_zeros_solution
+from kempner.eta import _trusted_eta_result
+from kempner.number_core import _Record, _trusted_factorization, _trusted_prime_power
+from kempner.repunit_repr import _trusted_repunit_decomposition
 from kempner.verify import CheckOutcome, VerifyConfig
 
 FACTORS = (PrimePower(2, 3), PrimePower(5, 1))
@@ -78,14 +83,44 @@ RECORDS = [  # (class, fields, repr, fields of an unequal record)
     ),
 ]
 IDS = [row[0].__name__ for row in RECORDS]
+BUILDERS = {
+    PrimePower: _trusted_prime_power,
+    Factorization: _trusted_factorization,
+    EtaResult: _trusted_eta_result,
+    RepunitDecomposition: _trusted_repunit_decomposition,
+    ZerosSolution: _trusted_zeros_solution,
+}
+
+
+def made(cls, fields):
+    """The record from the constructor and, for a validated record, from its builder."""
+    records = [cls(**fields)]
+    if cls in BUILDERS:
+        records.append(BUILDERS[cls](*fields.values()))
+    return records
 
 
 @pytest.mark.parametrize("cls, fields, text, _", RECORDS, ids=IDS)
 def test_keyword_and_positional_construction_and_repr(cls, fields, text, _):
-    record = cls(**fields)
-    assert record == cls(*fields.values())
-    assert {name: getattr(record, name) for name in fields} == fields
-    assert repr(record) == text
+    for record in made(cls, fields):
+        assert type(record) is cls
+        assert record == cls(*fields.values())
+        assert {name: getattr(record, name) for name in fields} == fields
+        assert repr(record) == text
+
+
+class _One(_Record):
+    __slots__ = ("a",)
+
+
+class _Four(_Record):
+    __slots__ = ("a", "b", "c", "d")
+
+
+def test_builder_refuses_other_field_counts():
+    for cls, count in ((_One, 1), (_Four, 4)):
+        with pytest.raises(TypeError, match=f"^{cls.__name__} has {count} fields, not 2 or 3$"):
+            cls._builder()
 
 
 def test_verify_config_defaults():
@@ -95,38 +130,50 @@ def test_verify_config_defaults():
 
 @pytest.mark.parametrize("cls, fields, _, other", RECORDS, ids=IDS)
 def test_equality_and_hash_go_by_fields(cls, fields, _, other):
-    record, twin = cls(**fields), cls(**fields)
+    twin = cls(**fields)
     values = tuple(fields.values())
-    assert record == twin and not record != twin
-    assert hash(record) == hash(twin) == hash(values)
-    assert record != cls(**other)
-    assert record.__eq__(values) is NotImplemented
-    assert record != values
-    assert len({record, twin, cls(**other)}) == 2
+    for record in made(cls, fields):
+        assert record == twin and not record != twin
+        assert hash(record) == hash(twin) == hash(values)
+        assert record != cls(**other)
+        assert record.__eq__(values) is NotImplemented
+        assert record != values
+        assert len({record, twin, cls(**other)}) == 2
 
 
 @pytest.mark.parametrize("cls, fields, _, __", RECORDS, ids=IDS)
 def test_attributes_cannot_be_assigned_or_deleted(cls, fields, _, __):
-    record = cls(**fields)
-    for name in (*fields, "extra"):
-        with pytest.raises(AttributeError):
-            setattr(record, name, 1)
-    for name in fields:
-        with pytest.raises(AttributeError):
-            delattr(record, name)
-    assert record == cls(**fields)
+    for record in made(cls, fields):
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert record == cls(**fields)
 
 
 @pytest.mark.parametrize("cls, fields, text, _", RECORDS, ids=IDS)
-def test_pickle_and_copy_round_trips(cls, fields, text, _):
-    record = cls(**fields)
+def test_pickle_and_copy_round_trips(cls, fields, text, _, monkeypatch):
+    records = made(cls, fields)
+    rebuilt = []  # the fields each constructor call got
+    init = cls.__init__
+
+    def spy(self, *values):
+        rebuilt.append(values)
+        init(self, *values)
+
+    monkeypatch.setattr(cls, "__init__", spy)
     protocols = range(pickle.HIGHEST_PROTOCOL + 1)
-    copies = [pickle.loads(pickle.dumps(record, protocol)) for protocol in protocols]
-    copies += [copy.copy(record), copy.deepcopy(record)]
-    for clone in copies:
-        assert type(clone) is cls
-        assert clone == record
-        assert repr(clone) == text
+    for record in records:
+        rebuilt.clear()
+        copies = [pickle.loads(pickle.dumps(record, protocol)) for protocol in protocols]
+        copies += [copy.copy(record), copy.deepcopy(record)]
+        assert rebuilt == [tuple(fields.values())] * len(copies)
+        for clone in copies:
+            assert type(clone) is cls
+            assert clone == record
+            assert repr(clone) == text
 
 
 def _matched(record):

@@ -32,6 +32,7 @@ from kempner import (
     trailing_zeros,
 )
 from kempner import number_core, verify
+from kempner.applications import _trusted_zeros_solution
 from kempner.eta import _eta_p
 from kempner.repunit_repr import _trusted_repunit_decomposition
 from kempner.verify import VerifyConfig
@@ -158,6 +159,22 @@ def test_verify_checks_the_digits_decompose_no_longer_checks(monkeypatch):
     monkeypatch.setattr(verify, "decompose", one_term)
     with pytest.raises(ValueError, match="final digit must be in 1..2, got 3$"):
         verify.check_repunit_round_trip(VerifyConfig(max_k=3, primes=1))
+
+
+@pytest.mark.parametrize(
+    "wrong", [{1: (5, 6, 7, 8)}, {5: (25,)}], ids=["member-dropped", "member-of-no-z"]
+)
+def test_verify_zeros_check_reports_a_wrong_solution(monkeypatch, wrong):
+    # z = 5 has no members: the count jumps from 4 at m = 24 to 6 at m = 25
+    def solve(z):
+        return _trusted_zeros_solution(z, wrong.get(z, solve_trailing_zeros(z).members))
+
+    monkeypatch.setattr(verify, "solve_trailing_zeros", solve)
+    outcome = verify.check_zeros_inverse(VerifyConfig(max_zeros=10))
+    [(z, members)] = wrong.items()
+    scan = solve_trailing_zeros(z).members
+    assert not outcome.ok
+    assert outcome.detail == f"1 failures, e.g. z={z}: {members} vs scan {scan}"
 
 
 def test_decompose_rejects_non_primes_below_two_and_above():
