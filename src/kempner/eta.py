@@ -124,11 +124,12 @@ def _eta_witness(
 ) -> tuple[int, tuple[tuple[int, int, int], ...], int | None]:
     """(value, per_prime, argmax_prime) of eta over (prime, exponent) pairs
     in increasing prime order, unchecked: the largest eta_p, the smallest
-    prime on a tie, and (0, (), None) for no pairs."""
+    prime on a tie, and (0, (), None) for no pairs. An exponent a <= p needs
+    no kernel: v_p(m!) = m // p < a for m < a*p <= p^2, so eta_p(a) = a*p."""
     per_prime = []
     value, argmax = 0, None
     for p, a in factors:
-        e = _eta_p(a, p)
+        e = a * p if a <= p else _eta_p(a, p)
         per_prime.append((p, a, e))
         if e > value:
             value, argmax = e, p

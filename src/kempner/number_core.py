@@ -32,8 +32,9 @@ and, unless it is a perfect square, cube or fifth power, to Brent's rho
 (Brent, BIT 20, 1980). `_factor_range` factors a whole range [start, end]
 for `table` and the prime scan: a segmented sieve of Eratosthenes (Bays &
 Hudson, BIT 17, 1977) divides each base prime up to min(2^16, sqrt(end))
-out of its multiples, so a cofactor below 2^32 is prime. Both hand what is
-left of each n, with their bound, to `_factor_cofactor`, the one cofactor
+out of its multiples, so a cofactor below 2^32 is prime and is appended
+as it is. `factorize`, and `_factor_range` for a larger cofactor, hand
+what is left, with their bound, to `_factor_cofactor`, the one cofactor
 rule.
 
 The numbers below 2^16 are sieved once at import into `_LEAST`, an
@@ -44,12 +45,11 @@ one lookup in it. `SMALL_PRIMES`, the primes below 2^16 that
 `_factor_range` and `first_primes` read, is extracted from the table with
 `itertools.compress`.
 Above 2^16, `is_prime` is deterministic and sized to n: Miller-Rabin with
-bases 2, 7, 61 below 4,759,123,141 and 2, 3, 5, 7, 11 below
-2,152,302,898,747 (each bound is the first strong pseudoprime to its bases;
-Jaeschke, Math. Comp. 61, 1993), then the Baillie-PSW test, a base-2
-Miller-Rabin round and a strong Lucas test (Baillie & Wagstaff, Math. Comp.
-35, 1980), which has no counterexample below 2^64 (Baillie, Fiori &
-Wagstaff, Math. Comp. 90, 2021).
+bases 2, 7, 61 below 4,759,123,141, the first strong pseudoprime to those
+bases (Jaeschke, Math. Comp. 61, 1993), then the Baillie-PSW test, a
+base-2 Miller-Rabin round and a strong Lucas test (Baillie & Wagstaff,
+Math. Comp. 35, 1980), which has no counterexample below 2^64 (Baillie,
+Fiori & Wagstaff, Math. Comp. 90, 2021).
 """
 
 from __future__ import annotations
@@ -96,20 +96,18 @@ _TRIAL_PRIMES = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, 1 << 10)]
 _TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 _PRODUCT_TO_37 = prod(SMALL_PRIMES[:12])
 
-# (bound, witnesses): `is_prime` tests n with the first tier where n < bound.
-# The first two bounds are the smallest strong pseudoprimes to their bases
-# (Jaeschke), hence the strict comparison. From the second bound up, base 2
-# alone is followed by `_strong_lucas`: that pair is the Baillie-PSW test
-# (Baillie & Wagstaff, Math. Comp. 35, 1980), which no composite below 2^64
-# passes (Baillie, Fiori & Wagstaff, Math. Comp. 90, 2021, checked against
-# Feitsma and Galway's list of the base-2 strong pseudoprimes below 2^64).
-# Below that bound the 3 and 5 witnesses cost less than one Lucas sequence.
-_BPSW_FROM = 2_152_302_898_747
-_MR_TIERS = (
-    (4_759_123_141, (2, 7, 61)),
-    (_BPSW_FROM, (2, 3, 5, 7, 11)),
-    (INT64_MAX + 1, (2,)),
-)
+# `is_prime` tests n < _BPSW_FROM with the witnesses 2, 7 and 61, and
+# _BPSW_FROM is the smallest strong pseudoprime to those bases (Jaeschke),
+# hence the strict comparison. From there up, base 2 alone is followed by
+# `_strong_lucas`: that pair is the Baillie-PSW test (Baillie & Wagstaff,
+# Math. Comp. 35, 1980), which no composite below 2^64 passes (Baillie,
+# Fiori & Wagstaff, Math. Comp. 90, 2021, checked against Feitsma and
+# Galway's list of the base-2 strong pseudoprimes below 2^64). Best of 9
+# over 200 primes per size (Python 3.11.7, 2 vCPU): on 36- to 41-bit primes
+# it takes 26 to 27 us, where the witnesses 2 to 11, good up to Jaeschke's
+# next bound 2,152,302,898,747, take 31 to 34 us; on 20- and 32-bit primes
+# it would take 8.0 and 22.6 us, where 2, 7 and 61 take 4.6 and 16.0 us.
+_BPSW_FROM = 4_759_123_141
 
 
 def is_prime(n: int) -> bool:
@@ -117,12 +115,11 @@ def is_prime(n: int) -> bool:
 
     n < 2^16 is prime when its entry in the least-factor table is 0. Above
     that, deterministic Miller-Rabin with 3 witnesses (2, 7, 61) below
-    4,759,123,141 and 5 (2 to 11) below 2,152,302,898,747 (both bounds from
-    Jaeschke, 1993); from there up to INT64_MAX, Baillie-PSW: witness 2,
-    then `_strong_lucas` (Baillie & Wagstaff, 1980; no composite below 2^64
-    passes both, per Baillie, Fiori & Wagstaff, 2021). Raises OverflowError
-    above the supported range rather than degrading to a probabilistic
-    answer.
+    4,759,123,141 (Jaeschke, 1993); from there up to INT64_MAX, Baillie-PSW:
+    witness 2, then `_strong_lucas` (Baillie & Wagstaff, 1980; no composite
+    below 2^64 passes both, per Baillie, Fiori & Wagstaff, 2021). Raises
+    OverflowError above the supported range rather than degrading to a
+    probabilistic answer.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -137,12 +134,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for bound, witnesses in _MR_TIERS:
-        if n < bound:
-            break
-    # each witness is below 2^16 <= n or below the previous tier's bound <= n,
-    # so none is 0 mod n
-    for a in witnesses:
+    for a in (2, 7, 61) if n < _BPSW_FROM else (2,):  # each below 2^16 <= n
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -173,9 +165,9 @@ def _jacobi(a: int, n: int) -> int:
 
 def _strong_lucas(n: int) -> bool:
     """Strong Lucas probable-prime test of an odd n larger than every |D| it
-    tries (`is_prime` calls it above 2^41 only), with Selfridge's parameters
-    (method A): D is the first of 5, -7, 9, -11, ... with Jacobi symbol
-    (D/n) = -1, P = 1 and Q = (1 - D) / 4.
+    tries (`is_prime` calls it from 4,759,123,141 up only), with Selfridge's
+    parameters (method A): D is the first of 5, -7, 9, -11, ... with Jacobi
+    symbol (D/n) = -1, P = 1 and Q = (1 - D) / 4.
 
     Writing n + 1 = d * 2^s, n passes when U_d = 0 or V_(d * 2^r) = 0 (mod n)
     for some 0 <= r < s.
@@ -507,8 +499,10 @@ def _factor_range(start: int, end: int) -> Iterator[tuple[int, list[tuple[int, i
 
     For 1 <= start <= end <= INT64_MAX, unchecked. Each segment divides
     the base primes up to min(2^16, sqrt(end)) out of their multiples;
-    what is left of an n then has no prime factor up to min(2^16, sqrt(n))
-    and goes to `_factor_cofactor`, whose primes all exceed the base ones.
+    what is left of an n then has no prime factor up to min(2^16, sqrt(n)).
+    Below 2^32 it is therefore prime (65537^2 > 2^32) and is appended as
+    it is; a larger one goes to `_factor_cofactor`, whose primes all
+    exceed the base ones.
     """
     base = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, min(1 << 16, isqrt(end)))]
     for lo in range(start, end + 1, _SEGMENT):
@@ -524,7 +518,9 @@ def _factor_range(start: int, end: int) -> Iterator[tuple[int, list[tuple[int, i
                 rest[i] = m
                 found[i].append((p, a))
         for n, m, factors in zip(range(lo, lo + size), rest, found):
-            if m > 1:
+            if 1 < m < 1 << 32:
+                factors.append((m, 1))
+            elif m > 1:
                 acc: dict[int, int] = {}
                 _factor_cofactor(m, acc, 1 << 32)
                 factors.extend(sorted(acc.items()))

@@ -6,8 +6,9 @@ a_n = (p^n - 1)/(p - 1), with strictly decreasing exponents, digits in
 representation greedily; `enumerate_all_representations` is the brute-force
 uniqueness oracle, an unpruned search over every digit on every repunit up
 to k. Both prove p once through `number_core._require_prime`. `decompose`
-returns a trusted record; the tests and `verify` rebuild its results
-through the constructor, which checks the digit invariants.
+returns a trusted record; the tests rebuild its results through the
+constructor, and `verify` passes them to `_check_terms`, the digit
+invariants that the constructor checks after proving p.
 """
 
 from __future__ import annotations
@@ -35,21 +36,27 @@ class RepunitDecomposition(_Record):
 
     def __post_init__(self):
         _require_prime(self.p)
-        if len(self.terms) < 1:
-            raise ValueError("a decomposition has at least one term")
-        exponents = [n for n, _ in self.terms]
-        if any(a <= b for a, b in zip(exponents, exponents[1:])):
-            raise ValueError(f"exponents must be strictly decreasing, got {exponents}")
-        if exponents[-1] < 1:
-            raise ValueError(f"exponents must be >= 1, got {exponents}")
-        *leading, last = [t for _, t in self.terms]
-        if any(not 1 <= t <= self.p - 1 for t in leading):
-            raise ValueError(f"non-final digits must be in 1..{self.p - 1}")
-        if not 1 <= last <= self.p:
-            raise ValueError(f"final digit must be in 1..{self.p}, got {last}")
+        _check_terms(self.p, self.terms)
 
 
 _trusted_repunit_decomposition = RepunitDecomposition._builder()  # for a proven prime p
+
+
+def _check_terms(p: int, terms: tuple[tuple[int, int], ...]) -> None:
+    """Raise ValueError unless terms meet the digit invariants for the
+    prime p, which the caller has proven."""
+    if len(terms) < 1:
+        raise ValueError("a decomposition has at least one term")
+    exponents = [n for n, _ in terms]
+    if any(a <= b for a, b in zip(exponents, exponents[1:])):
+        raise ValueError(f"exponents must be strictly decreasing, got {exponents}")
+    if exponents[-1] < 1:
+        raise ValueError(f"exponents must be >= 1, got {exponents}")
+    *leading, last = [t for _, t in terms]
+    if any(not 1 <= t <= p - 1 for t in leading):
+        raise ValueError(f"non-final digits must be in 1..{p - 1}")
+    if not 1 <= last <= p:
+        raise ValueError(f"final digit must be in 1..{p}, got {last}")
 
 
 def decompose(k: int, p: int) -> RepunitDecomposition:
@@ -59,8 +66,9 @@ def decompose(k: int, p: int) -> RepunitDecomposition:
     // a_n, and repeat on the rest, one place down at a time: a_n // p =
     a_{n-1} since a_n = p*a_{n-1} + 1. The base's carry structure
     guarantees the greedy digits always satisfy the invariants, so the
-    record skips the constructor's checks (the tests and `verify` rebuild
-    it to catch a bug) and `_require_prime` is the one proof of p.
+    record skips the constructor's checks (the tests rebuild it and
+    `verify` checks its terms, to catch a bug) and `_require_prime` is the
+    one proof of p.
     """
     _check_int("k", k, 1)  # above INT64_MAX, recompose may leave the 128-bit range
     _require_prime(p)  # before the walk up the repunits, which p < 2 would never end

@@ -15,7 +15,7 @@ from .applications import (
 )
 from .eta import _eta_p, eta, eta_oracle, eta_p, eta_p_oracle, eta_p_preimage
 from .number_core import SMALL_PRIMES, _check_int, _Record, factorize, first_primes
-from .repunit_repr import RepunitDecomposition, decompose, recompose
+from .repunit_repr import _check_terms, decompose, recompose
 
 
 # The largest max_k and max_zeros VerifyConfig takes. Measured with Python
@@ -97,8 +97,9 @@ def check_repunit_round_trip(cfg: VerifyConfig) -> CheckOutcome:
     primes = first_primes(cfg.primes)
     for p in primes:
         for k in range(1, cfg.max_k + 1):
-            d = decompose(k, p)  # trusted: the constructor checks its digits
-            back = recompose(RepunitDecomposition(d.p, d.terms))
+            d = decompose(k, p)  # trusted, and p proven: check the digits alone
+            _check_terms(d.p, d.terms)
+            back = recompose(d)
             if back != k:
                 failures.append(f"recompose(decompose({k}, {p})) = {back}")
     return _outcome(

@@ -20,7 +20,7 @@ from kempner import (
     first_primes,
     legendre_valuation,
 )
-from kempner.eta import _eta_p
+from kempner.eta import _eta_p, _eta_witness
 
 FIRST_TEN_PRIMES = first_primes(10)
 
@@ -90,6 +90,15 @@ def test_eta_p_is_p_minus_one_times_k_plus_repunit_digit_sum(p, data):
     # p^n = (p-1)*a_n + 1 turns sum t_i * p^{n_i} into (p-1)*k + sum t_i
     k = data.draw(st.one_of(st.integers(1, 2000), st.integers(1, INT64_MAX // p)))
     assert _eta_p(k, p) == (p - 1) * k + sum(t for _, t in decompose(k, p).terms)
+
+
+@pytest.mark.parametrize("p", first_primes(25))
+def test_eta_witness_small_exponent_path_matches_the_kernel(p):
+    # exponents a <= p skip the kernel for a * p; a = p and a = p + 1 are the edges
+    for a in range(1, p + 3):
+        e = _eta_p(a, p)
+        assert e == eta_p_oracle(a, p), a
+        assert _eta_witness([(p, a)]) == (e, ((p, a, e),), p), a
 
 
 def test_eta_p_defining_property_by_valuation():

@@ -195,9 +195,10 @@ def is_strong_probable_prime(n: int, a: int) -> bool:
     return False
 
 
-# is_prime's first two witness tiers end at these strong pseudoprimes
-# (Jaeschke, 1993): each passes every base of the tier it ends, so the bound
-# must be exclusive and the next tier must reject it
+# strong pseudoprimes to the bases named (Jaeschke, 1993): the first ends
+# is_prime's (2, 7, 61) tier, so that bound must be exclusive and Baillie-PSW
+# must reject it; the second, the end of a 5-witness tier is_prime does not
+# use, lies in the range where Baillie-PSW alone must reject it
 TIER_BOUNDS = [
     (4_759_123_141, (48781, 97561), (2, 7, 61)),
     (2_152_302_898_747, (6763, 10627, 29947), (2, 3, 5, 7, 11)),
@@ -218,10 +219,25 @@ def test_is_prime_just_below_the_tier_bounds():
     assert is_prime(2_152_302_898_729)
 
 
+def test_is_prime_matches_sympy_around_the_baillie_psw_bound():
+    sympy = pytest.importorskip("sympy")
+    for n in range(4_759_123_141 - 20_001, 4_759_123_141 + 20_000, 2):
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_rejects_a_base_2_strong_pseudoprime_below_2_41():
+    # it passes base 2, the only witness from 4,759,123,141 up, so the Lucas
+    # test must reject it
+    n = 1_122_004_669_633
+    assert n == 611557 * 1834669 and n < 2**41
+    assert is_strong_probable_prime(n, 2)
+    assert not is_prime(n)
+
+
 def test_is_prime_matches_sympy_in_every_tier():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(10)
-    edges = [1 << 16, 4_759_123_141, 2_152_302_898_747, INT64_MAX]
+    edges = [1 << 16, 4_759_123_141, INT64_MAX]
     for lo, hi in zip(edges, edges[1:]):
         for _ in range(2000):
             n = rng.randrange(lo, hi) | 1
@@ -469,6 +485,32 @@ def test_factor_range_matches_factorize(start, end):
         for n in range(start, end + 1)
     ]
     assert list(_factor_range(start, end)) == expected
+
+
+@pytest.mark.parametrize("start, end", [(1, 10_000), (10**12 + 1, 10**12 + 5000)])
+def test_factor_range_appends_cofactors_below_2_32_directly(monkeypatch, start, end):
+    expected = [
+        (n, [(pp.prime, pp.exponent) for pp in factorize(n).factors])
+        for n in range(start, end + 1)
+    ]
+    cofactor = number_core._factor_cofactor
+    calls, depth = [], []
+
+    def no_small_cofactor(n, *args):
+        # the recursion below a split goes through this name too
+        if not depth:
+            if n < 1 << 32:
+                raise AssertionError(f"_factor_cofactor called on {n}")
+            calls.append(n)
+        depth.append(n)
+        try:
+            cofactor(n, *args)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(number_core, "_factor_cofactor", no_small_cofactor)
+    assert list(_factor_range(start, end)) == expected
+    assert bool(calls) == (start > 1)  # cofactors above 2^32 still go there
 
 
 # --- dataclass invariants ------------------------------------------------------

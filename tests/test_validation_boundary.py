@@ -161,6 +161,20 @@ def test_verify_checks_the_digits_decompose_no_longer_checks(monkeypatch):
         verify.check_repunit_round_trip(VerifyConfig(max_k=3, primes=1))
 
 
+def test_verify_round_trip_proves_each_prime_once_per_case(monkeypatch):
+    proven = []
+    prime = number_core.is_prime
+
+    def counting_is_prime(n):
+        proven.append(n)
+        return prime(n)
+
+    monkeypatch.setattr(number_core, "is_prime", counting_is_prime)
+    outcome = verify.check_repunit_round_trip(VerifyConfig(max_k=50, primes=4))
+    assert outcome.ok
+    assert sorted(proven) == sorted([2, 3, 5, 7] * 50)  # decompose's proofs alone
+
+
 @pytest.mark.parametrize(
     "wrong", [{1: (5, 6, 7, 8)}, {5: (25,)}], ids=["member-dropped", "member-of-no-z"]
 )
