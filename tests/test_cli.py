@@ -217,6 +217,103 @@ def test_help_exits_0(capsys):
     assert invoke(capsys, "--help")[0] == 0
 
 
+COMMANDS = "{eta,eta-p,decompose,valuation,zeros,table,factor,verify}"
+TOP_USAGE = f"usage: kempner [-h]\n               {COMMANDS} ...\n"
+TABLE_USAGE = "usage: kempner table [-h] [--format {plain,csv,json-lines}] start end\n"
+HELP_TAIL = "\noptions:\n  -h, --help  show this help message and exit\n"
+
+
+def positional_help(command, *operands):
+    names = "".join(f"  {name}\n" for name in operands)
+    usage = f"usage: kempner {command} [-h] {' '.join(operands)}\n"
+    return f"{usage}\npositional arguments:\n{names}{HELP_TAIL}"
+
+
+HELP_TEXT = {
+    (): TOP_USAGE
+    + f"""
+Kempner function: the smallest m whose factorial is a multiple of n.
+
+positional arguments:
+  {COMMANDS}
+    eta                 eta of a decimal or factored integer, with witness
+    eta-p               smallest m with p^k dividing m!
+    decompose           representation of k in the repunit base of p
+    valuation           exponent of prime p in m!
+    zeros               all m whose factorial ends in exactly z zeros
+    table               emit n -> eta(n) for a range
+    factor              prime factorization of a 64-bit integer
+    verify              run oracle-equivalence and property suites
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("eta",): "usage: kempner eta [-h] expr\n\npositional arguments:\n"
+    "  expr        e.g. 360, -360, or 2^31*3^27*7^13\n" + HELP_TAIL,
+    ("eta-p",): positional_help("eta-p", "k", "p"),
+    ("decompose",): positional_help("decompose", "k", "p"),
+    ("valuation",): positional_help("valuation", "m", "p"),
+    ("zeros",): positional_help("zeros", "z"),
+    ("table",): TABLE_USAGE
+    + """
+positional arguments:
+  start
+  end
+
+options:
+  -h, --help            show this help message and exit
+  --format {plain,csv,json-lines}
+""",
+    ("factor",): positional_help("factor", "n"),
+    ("verify",): """\
+usage: kempner verify [-h] [--max-k MAX_K] [--max-n MAX_N] [--primes PRIMES]
+                      [--max-zeros MAX_ZEROS]
+
+options:
+  -h, --help            show this help message and exit
+  --max-k MAX_K         largest k of the eta_p and round-trip checks; the time
+                        grows linearly in it
+  --max-n MAX_N         largest n of the scans; the time grows quadratically
+                        in it
+  --primes PRIMES       how many of the smallest primes the per-prime checks
+                        use
+  --max-zeros MAX_ZEROS
+                        largest z of the trailing-zeros check; the time grows
+                        linearly in it
+""",
+}
+
+USAGE_ERRORS = {
+    (): TOP_USAGE + "kempner: error: the following arguments are required: command\n",
+    ("nope",): TOP_USAGE + "kempner: error: argument command: invalid choice: 'nope' "
+    "(choose from 'eta', 'eta-p', 'decompose', 'valuation', 'zeros', 'table', 'factor', "
+    "'verify')\n",
+    ("eta-p", "x", "2"): "usage: kempner eta-p [-h] k p\n"
+    "kempner eta-p: error: argument k: invalid integer value: 'x'\n",
+    ("table", "1", "5", "--format", "yaml"): TABLE_USAGE
+    + "kempner table: error: argument --format: invalid choice: 'yaml' "
+    "(choose from 'plain', 'csv', 'json-lines')\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_TEXT))
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    code, out, err = invoke(capsys, *command, "--help")
+    # Python 3.10 still heads the options "optional arguments:"
+    assert (code, out.replace("optional arguments:", "options:"), err) == (
+        0,
+        HELP_TEXT[command],
+        "",
+    )
+
+
+@pytest.mark.parametrize("argv", sorted(USAGE_ERRORS))
+def test_usage_error_text_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert invoke(capsys, *argv) == (2, "", USAGE_ERRORS[argv])
+
+
 def test_verify_passes(capsys):
     code, out, _ = invoke(capsys, "verify", "--max-k", "60", "--max-n", "120", "--primes", "4")
     assert code == 0
