@@ -2,7 +2,8 @@
 
 Results go to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 domain error (or stdout closed before the output was written), 2 usage
-error, 3 verification failure.
+error, 3 verification failure. `COMMANDS` is the one place where a
+subcommand is declared: its name, help, handler and arguments.
 """
 
 from __future__ import annotations
@@ -48,50 +49,27 @@ def format_factorization(f: Factorization) -> str:
     return f"-1 * {body}" if f.sign < 0 else body
 
 
-def _cmd_eta(args) -> int:
+def _cmd_eta(args) -> None:
     result = eta(parse_factored_expr(args.expr))
     print(result.value)
     for p, a, e in result.per_prime:
         mark = "  <- max" if p == result.argmax_prime else ""
         print(f"  eta_{p}({a}) = {e}{mark}")
-    return EXIT_OK
 
 
-def _cmd_eta_p(args) -> int:
-    print(eta_p(args.k, args.p))
-    return EXIT_OK
-
-
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> None:
     d = decompose(args.k, args.p)  # proves p, so the repunits need not
     expanded = " + ".join(f"{t}*{_repunit(d.p, n)}" for n, t in d.terms)
     print(f"{args.k} = {expanded}")
     print("terms (exponent, digit):", ", ".join(f"({n}, {t})" for n, t in d.terms))
-    return EXIT_OK
 
 
-def _cmd_valuation(args) -> int:
-    print(legendre_valuation(args.m, args.p))
-    return EXIT_OK
-
-
-def _cmd_zeros(args) -> int:
-    print(" ".join(str(m) for m in solve_trailing_zeros(args.z).members))
-    return EXIT_OK
-
-
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> None:
     for line in emit_table(args.start, args.end, args.format):
         print(line)
-    return EXIT_OK
 
 
-def _cmd_factor(args) -> int:
-    print(format_factorization(factorize(args.n)))
-    return EXIT_OK
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> int | None:
     cfg = VerifyConfig(
         max_k=args.max_k, max_n=args.max_n, primes=args.primes, max_zeros=args.max_zeros
     )
@@ -104,7 +82,41 @@ def _cmd_verify(args) -> int:
         print(f"{failed} of {len(outcomes)} checks failed")
         return EXIT_VERIFY_FAILED
     print(f"all {len(outcomes)} checks passed")
-    return EXIT_OK
+
+
+_INT = {"type": integer}
+_VERIFY_DEFAULTS = VerifyConfig()
+
+# (name, help, handler, arguments) in `--help` order, each argument a (flag,
+# add_argument keywords) pair; a handler that returns None has succeeded
+COMMANDS = (
+    ("eta", "eta of a decimal or factored integer, with witness",
+     _cmd_eta, [("expr", {"help": "e.g. 360, -360, or 2^31*3^27*7^13"})]),
+    ("eta-p", "smallest m with p^k dividing m!",
+     lambda args: print(eta_p(args.k, args.p)), [("k", _INT), ("p", _INT)]),
+    ("decompose", "representation of k in the repunit base of p",
+     _cmd_decompose, [("k", _INT), ("p", _INT)]),
+    ("valuation", "exponent of prime p in m!",
+     lambda args: print(legendre_valuation(args.m, args.p)), [("m", _INT), ("p", _INT)]),
+    ("zeros", "all m whose factorial ends in exactly z zeros",
+     lambda args: print(*solve_trailing_zeros(args.z).members), [("z", _INT)]),
+    ("table", "emit n -> eta(n) for a range",
+     _cmd_table, [("start", _INT), ("end", _INT),
+                  ("--format", {"choices": TABLE_FORMATS, "default": "plain"})]),
+    ("factor", "prime factorization of a 64-bit integer",
+     lambda args: print(format_factorization(factorize(args.n))), [("n", _INT)]),
+    ("verify", "run oracle-equivalence and property suites", _cmd_verify, [
+        ("--" + field.replace("_", "-"),
+         {"type": integer, "default": getattr(_VERIFY_DEFAULTS, field), "help": text})
+        for field, text in (
+            ("max_k",
+             "largest k of the eta_p and round-trip checks; the time grows linearly in it"),
+            ("max_n", "largest n of the scans; the time grows quadratically in it"),
+            ("primes", "how many of the smallest primes the per-prime checks use"),
+            ("max_zeros", "largest z of the trailing-zeros check; the time grows linearly in it"),
+        )
+    ]),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,52 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kempner function: the smallest m whose factorial is a multiple of n.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eta", help="eta of a decimal or factored integer, with witness")
-    p.add_argument("expr", help="e.g. 360, -360, or 2^31*3^27*7^13")
-    p.set_defaults(func=_cmd_eta)
-
-    p = sub.add_parser("eta-p", help="smallest m with p^k dividing m!")
-    p.add_argument("k", type=integer)
-    p.add_argument("p", type=integer)
-    p.set_defaults(func=_cmd_eta_p)
-
-    p = sub.add_parser("decompose", help="representation of k in the repunit base of p")
-    p.add_argument("k", type=integer)
-    p.add_argument("p", type=integer)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("valuation", help="exponent of prime p in m!")
-    p.add_argument("m", type=integer)
-    p.add_argument("p", type=integer)
-    p.set_defaults(func=_cmd_valuation)
-
-    p = sub.add_parser("zeros", help="all m whose factorial ends in exactly z zeros")
-    p.add_argument("z", type=integer)
-    p.set_defaults(func=_cmd_zeros)
-
-    p = sub.add_parser("table", help="emit n -> eta(n) for a range")
-    p.add_argument("start", type=integer)
-    p.add_argument("end", type=integer)
-    p.add_argument("--format", choices=TABLE_FORMATS, default="plain")
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("factor", help="prime factorization of a 64-bit integer")
-    p.add_argument("n", type=integer)
-    p.set_defaults(func=_cmd_factor)
-
-    p = sub.add_parser("verify", help="run oracle-equivalence and property suites")
-    defaults = VerifyConfig()
-    for field, text in (
-        ("max_k", "largest k of the eta_p and round-trip checks; the time grows linearly in it"),
-        ("max_n", "largest n of the scans; the time grows quadratically in it"),
-        ("primes", "how many of the smallest primes the per-prime checks use"),
-        ("max_zeros", "largest z of the trailing-zeros check; the time grows linearly in it"),
-    ):
-        option = "--" + field.replace("_", "-")
-        p.add_argument(option, type=integer, default=getattr(defaults, field), help=text)
-    p.set_defaults(func=_cmd_verify)
-
+    for name, text, handler, arguments in COMMANDS:
+        command = sub.add_parser(name, help=text)
+        command.set_defaults(func=handler)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
     return parser
 
 
@@ -183,7 +154,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed usage or help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        return args.func(args) or EXIT_OK
     except (ValueError, OverflowError, SearchBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
@@ -200,3 +171,7 @@ def main() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_DOMAIN_ERROR
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

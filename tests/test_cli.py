@@ -321,6 +321,18 @@ def test_verify_passes(capsys):
     assert out.count("ok  ") == 7
 
 
+def test_verify_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr("kempner.verify.eta_oracle", lambda f: -1)
+    code, out, err = invoke(
+        capsys, "verify", "--max-k", "5", "--max-n", "30", "--primes", "2", "--max-zeros", "3"
+    )
+    assert (code, err) == (3, "")
+    assert out.endswith("\n1 of 7 checks failed\n")
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL eta equals linear-scan oracle (29 failures, e.g. ")
+
+
 def test_verify_primes_bound_names_the_option(capsys):
     assert invoke(capsys, "verify", "--primes", "100000") == (
         1,
@@ -353,8 +365,8 @@ def test_verify_max_n_is_capped_by_the_prime_scan(capsys):
     [
         ("--max-k", "100001", "max_k must be <= 100000, got 100001"),
         ("--max-k", str(INT64_MAX), f"max_k must be <= 100000, got {INT64_MAX}"),
-        ("--max-zeros", "4001", "max_zeros must be <= 4000, got 4001"),
-        ("--max-zeros", str(INT64_MAX), f"max_zeros must be <= 4000, got {INT64_MAX}"),
+        ("--max-zeros", "100001", "max_zeros must be <= 100000, got 100001"),
+        ("--max-zeros", str(INT64_MAX), f"max_zeros must be <= 100000, got {INT64_MAX}"),
     ],
 )
 def test_verify_max_k_and_max_zeros_are_capped(capsys, option, value, message):
@@ -414,6 +426,26 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "\n"
+
+
+@pytest.mark.parametrize("module", ["kempner", "kempner.cli"])
+def test_python_m_runs_the_cli(module):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kempner.__file__)))
+
+    def python_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+
+    done = python_m("eta", "360")
+    assert (done.returncode, done.stdout.splitlines()[0], done.stderr) == (0, "6", "")
+    done = python_m("eta-p", "x", "2")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.endswith("kempner eta-p: error: argument k: invalid integer value: 'x'\n")
 
 
 def test_closed_stdout_ends_quietly():
@@ -492,7 +524,7 @@ def verify_argv(draw):
         "--max-k": ["100001", str(INT64_MAX)],
         "--max-n": ["1000001", str(INT64_MAX)],
         "--primes": ["6543", str(INT64_MAX)],
-        "--max-zeros": ["4001", str(INT64_MAX)],
+        "--max-zeros": ["100001", str(INT64_MAX)],
     }
     options = draw(st.permutations(["--max-k", "--max-n", "--primes", "--max-zeros"]))
     argv = []
