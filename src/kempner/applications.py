@@ -12,11 +12,12 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .errors import SearchBudgetError
-from .eta import EtaResult, _eta_p, _eta_witness, eta
+from .eta import EtaResult, _eta_witness, eta
 from .number_core import (
     INT64_MAX,
     Factorization,
     _check_int,
+    _eta_p,
     _factor_range,
     _legendre,
     _Record,
@@ -94,11 +95,9 @@ def prime_characterization_scan(limit: int) -> list[int]:
         raise ValueError(f"limit must be > 4, got {limit}")
     if limit > SCAN_LIMIT:
         raise SearchBudgetError(f"scan limit {limit} exceeds budget {SCAN_LIMIT}")
-    violations = []
-    for n, factors in _factor_range(5, limit):
-        if (_eta_witness(factors)[0] == n) != is_prime(n):
-            violations.append(n)
-    return violations
+    return [
+        n for n, value, _ in _factor_range(5, limit, witness=False) if (value == n) != is_prime(n)
+    ]
 
 
 def emit_table(start: int, end: int, fmt: str = "plain") -> Iterator[str]:
@@ -121,12 +120,14 @@ def emit_table(start: int, end: int, fmt: str = "plain") -> Iterator[str]:
         yield "# convention: eta(1)=0"
         yield "n,eta,argmax_prime"
     # p^a <= n <= INT64_MAX and p*a <= p^a, so no row needs eta's p*k check
-    for n, factors in _factor_range(start, end):
-        value, per_prime, argmax = _eta_witness(factors)
-        if fmt == "plain":
-            yield f"{n} {value}"
-        elif fmt == "csv":
-            yield f"{n},{value},{'' if argmax is None else argmax}"
-        else:
+    if fmt == "json-lines":
+        for n, factors in _factor_range(start, end):
+            value, per_prime, _ = _eta_witness(factors)
             witness = ",".join(f"[{p},{a},{e}]" for p, a, e in per_prime)
             yield f'{{"n":{n},"eta":{value},"witness":[{witness}]}}'
+    elif fmt == "csv":
+        for n, value, argmax in _factor_range(start, end, witness=False):
+            yield f"{n},{value},{'' if argmax is None else argmax}"
+    else:
+        for n, value, _ in _factor_range(start, end, witness=False):
+            yield f"{n} {value}"

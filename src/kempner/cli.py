@@ -3,12 +3,15 @@
 Results go to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 domain error (or stdout closed before the output was written), 2 usage
 error, 3 verification failure. `COMMANDS` is the one place where a
-subcommand is declared: its name, help, handler and arguments.
+subcommand is declared: its name, help, handler and arguments. `run` builds
+the parser on its first call and reuses it for every later call in the
+process; argparse reads COLUMNS when it formats help, not when it builds.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -119,6 +122,7 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kempner",

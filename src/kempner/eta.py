@@ -16,16 +16,27 @@ Validation happens once, at the public boundary: `eta_p`, `eta_p_oracle` and
 trusts its `Factorization` (each `PrimePower` checked itself on
 construction) but still checks the p*k range, since a caller may have built
 it, and returns a trusted `EtaResult` (`_trusted_eta_result`). The kernel
-`_eta_p` trusts its arguments entirely and checks nothing, and so does
-`_eta_witness`, the one place that picks eta's value and argmax prime out
-of the per-prime values; `applications` calls it per table row and scan n.
+`_eta_p` trusts its arguments entirely and checks nothing; it lives in
+`number_core`, beside `_legendre`, because the range sieve calls it too.
+`_eta_witness` checks nothing either: it builds eta's per-prime values and
+picks the value and argmax prime out of them, for `eta` and for each
+`json-lines` table row. The `plain` and `csv` rows and the prime scan take
+the value and argmax prime straight from `number_core._factor_range`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .number_core import INT64_MAX, Factorization, _check_int, _legendre, _Record, _require_prime
+from .number_core import (
+    INT64_MAX,
+    Factorization,
+    _check_int,
+    _eta_p,
+    _legendre,
+    _Record,
+    _require_prime,
+)
 
 
 class EtaResult(_Record):
@@ -60,25 +71,6 @@ class EtaResult(_Record):
 _trusted_eta_result = EtaResult._builder()
 
 
-def _eta_p(k: int, p: int) -> int:
-    """eta_p(k) for k >= 0 (k = 0 gives 0) and prime p, arguments unchecked:
-    (p-1)*k plus the digit sum of k in the repunit base of p, as a digit t of
-    the repunit a_n = (p^n - 1)/(p - 1) stands for t * p^n = (p-1)*t*a_n + t.
-    The digits come from `decompose`'s greedy walk, repeated here on purpose
-    (a shared digit kernel was measured slower on the `table` and `factored`
-    benchmark workloads); a_n // p = a_{n-1}, as a_n = p*a_{n-1} + 1.
-    """
-    repunit = 1
-    while repunit * p < k:  # a_{n+1} = p*a_n + 1 <= k
-        repunit = repunit * p + 1
-    m = (p - 1) * k
-    while k:
-        digit, k = divmod(k, repunit)
-        m += digit
-        repunit //= p
-    return m
-
-
 def _check_range(k: int, p: int) -> None:
     if p * k > INT64_MAX:
         raise OverflowError(f"eta_p({k}, {p}) may exceed the 64-bit range (bound p*k)")
@@ -100,16 +92,13 @@ def eta_p_oracle(k: int, p: int) -> int:
     """Reference eta_p: binary search for the smallest m with v_p(m!) >= k.
 
     Independent of the repunit machinery; relies only on the valuation
-    being nondecreasing in m and on v_p((p*k)!) >= k, which is checked
-    before searching rather than assumed.
+    being nondecreasing in m and on v_p((p*k)!) >= k, as floor(p*k / p) = k
+    is the first term of Legendre's sum.
     """
     _check_int("k", k, 1)
     _require_prime(p)
     _check_range(k, p)
-    hi = p * k
-    if _legendre(hi, p) < k:
-        raise RuntimeError(f"upper bound {p}*{k} does not reach valuation {k}")
-    lo = 1
+    lo, hi = 1, p * k
     while lo < hi:
         mid = (lo + hi) // 2
         if _legendre(mid, p) >= k:

@@ -35,7 +35,10 @@ Hudson, BIT 17, 1977) divides each base prime up to min(2^16, sqrt(end))
 out of its multiples, so a cofactor below 2^32 is prime and is appended
 as it is. `factorize`, and `_factor_range` for a larger cofactor, hand
 what is left, with their bound, to `_factor_cofactor`, the one cofactor
-rule.
+rule. For `json-lines` rows it yields each n's (prime, exponent) list;
+for `plain` and `csv` rows and the prime scan it yields eta(n) and its
+argmax prime, computed with the eta_p kernel `_eta_p`, which lives here
+for that reason.
 
 The numbers below 2^16 are sieved once at import into `_LEAST`, an
 immutable `bytes` table of least prime factors (0 for a prime and below 2):
@@ -270,6 +273,25 @@ def _legendre(m: int, p: int) -> int:
     return total
 
 
+def _eta_p(k: int, p: int) -> int:
+    """eta_p(k) for k >= 0 (k = 0 gives 0) and prime p, arguments unchecked:
+    (p-1)*k plus the digit sum of k in the repunit base of p, as a digit t of
+    the repunit a_n = (p^n - 1)/(p - 1) stands for t * p^n = (p-1)*t*a_n + t.
+    The digits come from `decompose`'s greedy walk, repeated here on purpose
+    (a shared digit kernel was measured slower on the `table` and `factored`
+    benchmark workloads); a_n // p = a_{n-1}, as a_n = p*a_{n-1} + 1.
+    """
+    repunit = 1
+    while repunit * p < k:  # a_{n+1} = p*a_n + 1 <= k
+        repunit = repunit * p + 1
+    m = (p - 1) * k
+    while k:
+        digit, k = divmod(k, repunit)
+        m += digit
+        repunit //= p
+    return m
+
+
 class _Record:
     """Base of kempner's immutable result records.
 
@@ -494,37 +516,71 @@ def factorize(n: int) -> Factorization:
 _SEGMENT = 1 << 12  # numbers per sieve segment, which bounds memory near 2^63
 
 
-def _factor_range(start: int, end: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """(n, [(prime, exponent), ...]) for each n in [start, end], primes increasing.
+def _factor_range(start: int, end: int, witness: bool = True) -> Iterator[tuple]:
+    """(n, [(prime, exponent), ...]) for each n in [start, end], primes
+    increasing, or with witness=False (n, eta(n), argmax prime), the
+    smallest prime on a tie and (1, 0, None) for n = 1.
 
     For 1 <= start <= end <= INT64_MAX, unchecked. Each segment divides
     the base primes up to min(2^16, sqrt(end)) out of their multiples;
     what is left of an n then has no prime factor up to min(2^16, sqrt(n)).
     Below 2^32 it is therefore prime (65537^2 > 2^32) and is appended as
     it is; a larger one goes to `_factor_cofactor`, whose primes all
-    exceed the base ones.
+    exceed the base ones. One loop serves both bodies, chosen per base
+    prime: the witness body appends (p, a) to its row's list, the value
+    body keeps the row's largest eta_p(a) (a*p for a <= p) and its prime.
+    A prime q from `_factor_cofactor` has a <= 3 < q (q > 65521 and
+    q^a < 2^63), so its eta_q(a) is a*q.
     """
     base = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, min(1 << 16, isqrt(end)))]
     for lo in range(start, end + 1, _SEGMENT):
         size = min(_SEGMENT, end + 1 - lo)
         rest = list(range(lo, lo + size))
-        found: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+        found: list[list[tuple[int, int]]] = [[] for _ in range(size)] if witness else []
+        best, arg = [0] * size, [None] * size
         for p in base:
-            for i in range(-lo % p, size, p):
-                m, a = rest[i] // p, 1
-                while m % p == 0:
-                    m //= p
-                    a += 1
-                rest[i] = m
-                found[i].append((p, a))
-        for n, m, factors in zip(range(lo, lo + size), rest, found):
+            if witness:
+                for i in range(-lo % p, size, p):
+                    m, a = rest[i] // p, 1
+                    while m % p == 0:
+                        m //= p
+                        a += 1
+                    rest[i] = m
+                    found[i].append((p, a))
+            else:
+                for i in range(-lo % p, size, p):
+                    m, a = rest[i] // p, 1
+                    while m % p == 0:
+                        m //= p
+                        a += 1
+                    rest[i] = m
+                    e = a * p if a <= p else _eta_p(a, p)
+                    if e > best[i]:
+                        best[i], arg[i] = e, p
+        if witness:
+            for n, m, factors in zip(range(lo, lo + size), rest, found):
+                if 1 < m < 1 << 32:
+                    factors.append((m, 1))
+                elif m > 1:
+                    factors += _cofactor_primes(m)
+                yield n, factors
+            continue
+        for n, m, value, argmax in zip(range(lo, lo + size), rest, best, arg):
             if 1 < m < 1 << 32:
-                factors.append((m, 1))
+                if m > value:
+                    value, argmax = m, m
             elif m > 1:
-                acc: dict[int, int] = {}
-                _factor_cofactor(m, acc, 1 << 32)
-                factors.extend(sorted(acc.items()))
-            yield n, factors
+                for q, a in _cofactor_primes(m):
+                    if a * q > value:
+                        value, argmax = a * q, q
+            yield n, value, argmax
+
+
+def _cofactor_primes(m: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of a sieve cofactor m > 2^32, primes increasing."""
+    acc: dict[int, int] = {}
+    _factor_cofactor(m, acc, 1 << 32)
+    return sorted(acc.items())
 
 
 def first_primes(count: int) -> tuple[int, ...]:

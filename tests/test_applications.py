@@ -12,6 +12,7 @@ from kempner import (
     ZerosSolution,
     emit_table,
     eta_p,
+    is_prime,
     parse_factored_expr,
     prime_characterization_scan,
     smallest_factorial_multiple,
@@ -153,6 +154,12 @@ def test_prime_characterization_scan_is_clean():
 
 def test_prime_characterization_scan_to_10_5_is_clean():
     assert prime_characterization_scan(10**5) == []
+
+
+@pytest.mark.parametrize("liar", [1999, 2000])  # a prime called composite, and the reverse
+def test_prime_characterization_scan_reports_a_wrong_primality(monkeypatch, liar):
+    monkeypatch.setattr("kempner.applications.is_prime", lambda n: is_prime(n) != (n == liar))
+    assert prime_characterization_scan(2000) == [liar]
 
 
 def test_prime_characterization_scan_domain():

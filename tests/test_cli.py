@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import kempner
 
 from kempner import INT64_MAX, eta, factorize
-from kempner.cli import integer, run
+from kempner.cli import build_parser, integer, run
 
 
 def invoke(capsys, *argv):
@@ -314,6 +314,32 @@ def test_usage_error_text_is_pinned(capsys, monkeypatch, argv):
     assert invoke(capsys, *argv) == (2, "", USAGE_ERRORS[argv])
 
 
+def test_run_reuses_one_parser_and_prints_what_a_fresh_process_prints(capsys, monkeypatch):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kempner.__file__)))
+    steps = [
+        (("eta-p", "x", "2"), "80"),
+        (("--help",), "80"),
+        (("--help",), "50"),  # help is wrapped to COLUMNS when it is printed
+        (("verify", "--help"), "50"),
+        (("eta", "360"), "80"),
+    ]
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "kempner", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "COLUMNS": columns},
+            timeout=60,
+        )
+        for argv, columns in steps
+    ]
+    assert fresh[1].stdout != fresh[2].stdout
+    assert build_parser() is build_parser()
+    for (argv, columns), done in zip(steps, fresh):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert invoke(capsys, *argv) == (done.returncode, done.stdout, done.stderr), argv
+
+
 def test_verify_passes(capsys):
     code, out, _ = invoke(capsys, "verify", "--max-k", "60", "--max-n", "120", "--primes", "4")
     assert code == 0
@@ -331,6 +357,18 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
     assert len(failed) == 1
     assert failed[0].startswith("FAIL eta equals linear-scan oracle (29 failures, e.g. ")
+
+
+def test_verify_exits_3_when_the_prime_scan_fails(capsys, monkeypatch):
+    is_prime = kempner.is_prime
+    monkeypatch.setattr("kempner.applications.is_prime", lambda n: is_prime(n) != (n == 1999))
+    code, out, err = invoke(
+        capsys, "verify", "--max-k", "5", "--max-n", "2000", "--primes", "2", "--max-zeros", "3"
+    )
+    assert (code, err) == (3, "")
+    assert out.endswith("\n1 of 7 checks failed\n")
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert failed == ["FAIL eta(n)=n exactly at primes (n>4) (1 failures, e.g. n=1999)"]
 
 
 def test_verify_primes_bound_names_the_option(capsys):

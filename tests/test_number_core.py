@@ -21,6 +21,7 @@ from kempner import (
     repunit,
 )
 from kempner import number_core
+from kempner.eta import _eta_witness
 from kempner.number_core import SMALL_PRIMES, _factor_range, _strong_lucas
 
 FIRST_TEN_PRIMES = first_primes(10)
@@ -511,6 +512,29 @@ def test_factor_range_appends_cofactors_below_2_32_directly(monkeypatch, start, 
     monkeypatch.setattr(number_core, "_factor_cofactor", no_small_cofactor)
     assert list(_factor_range(start, end)) == expected
     assert bool(calls) == (start > 1)  # cofactors above 2^32 still go there
+
+
+@pytest.mark.parametrize(
+    "start, end",
+    [
+        (1, 10_000),
+        (10**12 + 1, 10**12 + 5000),
+        (4_759_123_141 - 2000, 4_759_123_141 + 2000),  # where Baillie-PSW starts
+        (1000003**2 - 100, 1000003**2 + 100),  # a prime square cofactor above 2^32
+        (2**62, 2**62 + 500),
+        (INT64_MAX - 300, INT64_MAX),
+    ],
+)
+def test_factor_range_value_body_matches_the_witness_body(start, end):
+    values = list(_factor_range(start, end, witness=False))
+    witnessed = [(n, *_eta_witness(factors)) for n, factors in _factor_range(start, end)]
+    assert values == [(n, value, argmax) for n, value, _, argmax in witnessed]
+
+
+def test_factor_range_value_body_takes_eta_of_a_prime_square_cofactor():
+    # 1000003 is above every base prime, so its square reaches _factor_cofactor
+    n = 1000003**2
+    assert list(_factor_range(n, n, witness=False)) == [(n, 2 * 1000003, 1000003)]
 
 
 # --- dataclass invariants ------------------------------------------------------
