@@ -1,6 +1,8 @@
 """Worked problems built on eta: trailing zeros of factorials and their
 inverse, smallest factorial multiples of factored targets, a prime
 characterization scan, and table emission for regression and cross-checks.
+The scan and the table rows read eta(n), with its argmax prime or its
+`json-lines` witness text, off the range sieve `number_core._factor_range`.
 
 The inverse is eta applied twice: m! ends in at least z zeros exactly when
 10^z | m!, that is, when m >= eta(10^z) = eta_5(z), so the m with exactly z
@@ -12,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .errors import SearchBudgetError
-from .eta import EtaResult, _eta_witness, eta
+from .eta import EtaResult, eta
 from .number_core import (
     INT64_MAX,
     Factorization,
@@ -88,8 +90,8 @@ def prime_characterization_scan(limit: int) -> list[int]:
     """Every n in (4, limit] where (eta(n) == n) disagrees with primality.
 
     Expected to return an empty list; a nonempty result means a bug. The
-    bound n > 4 matters: eta(4) = 4 although 4 is composite. eta(n) comes
-    from the range sieve and `is_prime` stays the independent side.
+    bound n > 4 matters: eta(4) = 4 although 4 is composite; `is_prime` is
+    the side independent of the sieve.
     """
     if limit <= 4:
         raise ValueError(f"limit must be > 4, got {limit}")
@@ -121,10 +123,8 @@ def emit_table(start: int, end: int, fmt: str = "plain") -> Iterator[str]:
         yield "n,eta,argmax_prime"
     # p^a <= n <= INT64_MAX and p*a <= p^a, so no row needs eta's p*k check
     if fmt == "json-lines":
-        for n, factors in _factor_range(start, end):
-            value, per_prime, _ = _eta_witness(factors)
-            witness = ",".join(f"[{p},{a},{e}]" for p, a, e in per_prime)
-            yield f'{{"n":{n},"eta":{value},"witness":[{witness}]}}'
+        for n, value, pieces in _factor_range(start, end):
+            yield f'{{"n":{n},"eta":{value},"witness":[{",".join(pieces)}]}}'
     elif fmt == "csv":
         for n, value, argmax in _factor_range(start, end, witness=False):
             yield f"{n},{value},{'' if argmax is None else argmax}"

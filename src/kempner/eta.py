@@ -18,15 +18,13 @@ construction) but still checks the p*k range, since a caller may have built
 it, and returns a trusted `EtaResult` (`_trusted_eta_result`). The kernel
 `_eta_p` trusts its arguments entirely and checks nothing; it lives in
 `number_core`, beside `_legendre`, because the range sieve calls it too.
-`_eta_witness` checks nothing either: it builds eta's per-prime values and
-picks the value and argmax prime out of them, for `eta` and for each
-`json-lines` table row. The `plain` and `csv` rows and the prime scan take
-the value and argmax prime straight from `number_core._factor_range`.
+`eta` checks each factor's range and builds its witness in one loop, so
+the first factor out of range raises. Table rows and the prime scan never
+build an `EtaResult`: they take eta(n), and its argmax prime or
+`json-lines` witness, straight from `number_core._factor_range`.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable
 
 from .number_core import (
     INT64_MAX,
@@ -108,32 +106,22 @@ def eta_p_oracle(k: int, p: int) -> int:
     return lo
 
 
-def _eta_witness(
-    factors: Iterable[tuple[int, int]],
-) -> tuple[int, tuple[tuple[int, int, int], ...], int | None]:
-    """(value, per_prime, argmax_prime) of eta over (prime, exponent) pairs
-    in increasing prime order, unchecked: the largest eta_p, the smallest
-    prime on a tie, and (0, (), None) for no pairs. An exponent a <= p needs
-    no kernel: v_p(m!) = m // p < a for m < a*p <= p^2, so eta_p(a) = a*p."""
-    per_prime = []
-    value, argmax = 0, None
-    for p, a in factors:
-        e = a * p if a <= p else _eta_p(a, p)
-        per_prime.append((p, a, e))
-        if e > value:
-            value, argmax = e, p
-    return value, tuple(per_prime), argmax
-
-
 def eta(n: Factorization) -> EtaResult:
     """eta over a factorization: max of eta_{p_i}(a_i), or 0 for +/-1.
 
     The sign never affects the value. The result m is the least m >= 0
     with m! divisible by |n|.
     """
+    per_prime = []
+    value, argmax = 0, None
     for f in n.factors:
-        _check_range(f.exponent, f.prime)
-    return _trusted_eta_result(*_eta_witness((f.prime, f.exponent) for f in n.factors))
+        p, a = f.prime, f.exponent
+        _check_range(a, p)
+        e = a * p if a <= p else _eta_p(a, p)  # v_p(m!) = m // p < a for m < a*p <= p^2
+        per_prime.append((p, a, e))
+        if e > value:  # strict: the smallest prime wins a tie
+            value, argmax = e, p
+    return _trusted_eta_result(value, tuple(per_prime), argmax)
 
 
 def eta_oracle(n: Factorization) -> int:

@@ -3,8 +3,8 @@
 Grammar: `[-] base [^ exponent] ( * base [^ exponent] )*`, omitted exponent
 = 1. Numbers are runs of ASCII digits, and any Unicode whitespace
 (`str.isspace`) may stand between tokens. A bare decimal (no `^` or `*`) is
-factored on the spot; a factored form must use prime bases but may denote
-values far beyond 64 bits, which is the whole point of accepting it.
+one int(), factored on the spot; a factored form must use prime bases but
+may denote values far beyond 64 bits, the whole point of accepting it.
 
 One regex, `_EXPR`, decides whether a text is well-formed. A text it refuses,
 or one with a number int() refuses, is walked token by token only to explain
@@ -76,12 +76,16 @@ def parse_factored_expr(text: str) -> Factorization:
     if match is None:
         raise _syntax_error(text)
     sign, body = -1 if match[1] else 1, match[2]
+    bare = body.isdigit()  # one bare decimal (the grammar admits ASCII digits only)
     try:
-        terms = [(int(base), int(exp) if exp else 1) for base, exp in _TERM.findall(body)]
+        if bare:
+            value = int(body)
+        else:
+            terms = [(int(base), int(exp) if exp else 1) for base, exp in _TERM.findall(body)]
     except ValueError:  # only CPython's limit on int-string length
         raise _syntax_error(text) from None
-    if body.isdigit():  # one bare decimal (the grammar admits ASCII digits only)
-        return factorize(sign * terms[0][0])
+    if bare:
+        return factorize(sign * value)
 
     merged: dict[int, int] = {}
     for base, exponent in terms:

@@ -35,10 +35,9 @@ Hudson, BIT 17, 1977) divides each base prime up to min(2^16, sqrt(end))
 out of its multiples, so a cofactor below 2^32 is prime and is appended
 as it is. `factorize`, and `_factor_range` for a larger cofactor, hand
 what is left, with their bound, to `_factor_cofactor`, the one cofactor
-rule. For `json-lines` rows it yields each n's (prime, exponent) list;
-for `plain` and `csv` rows and the prime scan it yields eta(n) and its
-argmax prime, computed with the eta_p kernel `_eta_p`, which lives here
-for that reason.
+rule. It yields eta(n), found with the eta_p kernel `_eta_p` (which lives
+here for that reason), with the argmax prime for `plain`, `csv` and the
+prime scan, or with each prime power's witness text for `json-lines`.
 
 The numbers below 2^16 are sieved once at import into `_LEAST`, an
 immutable `bytes` table of least prime factors (0 for a prime and below 2):
@@ -517,9 +516,9 @@ _SEGMENT = 1 << 12  # numbers per sieve segment, which bounds memory near 2^63
 
 
 def _factor_range(start: int, end: int, witness: bool = True) -> Iterator[tuple]:
-    """(n, [(prime, exponent), ...]) for each n in [start, end], primes
-    increasing, or with witness=False (n, eta(n), argmax prime), the
-    smallest prime on a tie and (1, 0, None) for n = 1.
+    """(n, eta(n), pieces) for each n in [start, end], pieces the text
+    "[p,a,eta_p(a)]" of each p^a of n, primes increasing; with witness=False
+    (n, eta(n), argmax prime), the smallest prime on a tie, (1, 0, None) at 1.
 
     For 1 <= start <= end <= INT64_MAX, unchecked. Each segment divides
     the base primes up to min(2^16, sqrt(end)) out of their multiples;
@@ -527,16 +526,16 @@ def _factor_range(start: int, end: int, witness: bool = True) -> Iterator[tuple]
     Below 2^32 it is therefore prime (65537^2 > 2^32) and is appended as
     it is; a larger one goes to `_factor_cofactor`, whose primes all
     exceed the base ones. One loop serves both bodies, chosen per base
-    prime: the witness body appends (p, a) to its row's list, the value
-    body keeps the row's largest eta_p(a) (a*p for a <= p) and its prime.
-    A prime q from `_factor_cofactor` has a <= 3 < q (q > 65521 and
+    prime; each keeps the row's largest eta_p(a) (a*p for a <= p), and the
+    witness body appends the factor's text, the value body its prime. A
+    prime q from `_factor_cofactor` has a <= 3 < q (q > 65521 and
     q^a < 2^63), so its eta_q(a) is a*q.
     """
     base = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, min(1 << 16, isqrt(end)))]
     for lo in range(start, end + 1, _SEGMENT):
         size = min(_SEGMENT, end + 1 - lo)
         rest = list(range(lo, lo + size))
-        found: list[list[tuple[int, int]]] = [[] for _ in range(size)] if witness else []
+        found: list[list[str]] = [[] for _ in range(size)] if witness else []
         best, arg = [0] * size, [None] * size
         for p in base:
             if witness:
@@ -546,7 +545,10 @@ def _factor_range(start: int, end: int, witness: bool = True) -> Iterator[tuple]
                         m //= p
                         a += 1
                     rest[i] = m
-                    found[i].append((p, a))
+                    e = a * p if a <= p else _eta_p(a, p)
+                    found[i].append(f"[{p},{a},{e}]")
+                    if e > best[i]:
+                        best[i] = e
             else:
                 for i in range(-lo % p, size, p):
                     m, a = rest[i] // p, 1
@@ -558,12 +560,17 @@ def _factor_range(start: int, end: int, witness: bool = True) -> Iterator[tuple]
                     if e > best[i]:
                         best[i], arg[i] = e, p
         if witness:
-            for n, m, factors in zip(range(lo, lo + size), rest, found):
+            for n, m, value, pieces in zip(range(lo, lo + size), rest, best, found):
                 if 1 < m < 1 << 32:
-                    factors.append((m, 1))
+                    pieces.append(f"[{m},1,{m}]")
+                    if m > value:
+                        value = m
                 elif m > 1:
-                    factors += _cofactor_primes(m)
-                yield n, factors
+                    for q, a in _cofactor_primes(m):
+                        pieces.append(f"[{q},{a},{a * q}]")
+                        if a * q > value:
+                            value = a * q
+                yield n, value, pieces
             continue
         for n, m, value, argmax in zip(range(lo, lo + size), rest, best, arg):
             if 1 < m < 1 << 32:

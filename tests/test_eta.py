@@ -20,7 +20,7 @@ from kempner import (
     first_primes,
     legendre_valuation,
 )
-from kempner.eta import _eta_p, _eta_witness
+from kempner.eta import _eta_p
 
 FIRST_TEN_PRIMES = first_primes(10)
 
@@ -98,7 +98,7 @@ def test_eta_witness_small_exponent_path_matches_the_kernel(p):
     for a in range(1, p + 3):
         e = _eta_p(a, p)
         assert e == eta_p_oracle(a, p), a
-        assert _eta_witness([(p, a)]) == (e, ((p, a, e),), p), a
+        assert eta(Factorization(1, (PrimePower(p, a),))) == EtaResult(e, ((p, a, e),), p), a
 
 
 def test_eta_p_defining_property_by_valuation():

@@ -144,6 +144,10 @@ def test_parse_number_beyond_int_string_limit():
 
 # CPython refuses int() of more than its limit of digits (4300 by default)
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = "number too long (5000 digits)"
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
+    not 0 < INT_DIGIT_LIMIT < 5000, reason="no int-string length limit below 5000"
+)
 
 
 @pytest.mark.parametrize(
@@ -164,14 +168,10 @@ INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         ("2\u00b2", "unexpected character '\u00b2'", 1),
         # every character is checked before the grammar
         ("2^^3x", "unexpected character 'x'", 4),
-        pytest.param(
-            "2^^" + "9" * 5000,
-            "number too long (5000 digits)",
-            3,
-            marks=pytest.mark.skipif(
-                not 0 < INT_DIGIT_LIMIT < 5000, reason="no int-string length limit below 5000"
-            ),
-        ),
+        pytest.param("2^^" + "9" * 5000, TOO_LONG, 3, marks=NEEDS_DIGIT_LIMIT),
+        # a bare decimal is one int() too, refused in the same way
+        pytest.param("-" + "9" * 5000, TOO_LONG, 1, marks=NEEDS_DIGIT_LIMIT),
+        pytest.param(" " + "9" * 5000, TOO_LONG, 1, marks=NEEDS_DIGIT_LIMIT),
     ],
 )
 def test_parse_syntax_error_contract(text, message, position):

@@ -1,5 +1,6 @@
 """Arithmetic primitives against brute-force oracles."""
 
+import json
 import random
 from collections import Counter
 from math import prod
@@ -14,6 +15,7 @@ from kempner import (
     NotPrimeError,
     PrimePower,
     ZeroInputError,
+    eta,
     factorize,
     first_primes,
     is_prime,
@@ -21,8 +23,7 @@ from kempner import (
     repunit,
 )
 from kempner import number_core
-from kempner.eta import _eta_witness
-from kempner.number_core import SMALL_PRIMES, _factor_range, _strong_lucas
+from kempner.number_core import SMALL_PRIMES, _eta_p, _factor_range, _strong_lucas
 
 FIRST_TEN_PRIMES = first_primes(10)
 
@@ -464,6 +465,23 @@ def test_factorize_matches_sympy_on_hard_families():
 P31 = 2**31 - 1
 
 
+def parsed_witness_rows(start, end):
+    """(n, eta, [[p, a, e], ...]) per row of the witness body, its text parsed."""
+    return [
+        (n, value, json.loads("[" + ",".join(pieces) + "]"))
+        for n, value, pieces in _factor_range(start, end)
+    ]
+
+
+def assert_rows_match_factorize(rows, start, end):
+    assert [n for n, _, _ in rows] == list(range(start, end + 1))
+    for n, value, triples in rows:
+        f = factorize(n)
+        assert [(p, a) for p, a, _ in triples] == [(pp.prime, pp.exponent) for pp in f.factors]
+        assert all(e == _eta_p(a, p) for p, a, e in triples), n
+        assert value == eta(f).value, n
+
+
 @pytest.mark.parametrize(
     "start, end",
     [
@@ -481,19 +499,11 @@ P31 = 2**31 - 1
     ],
 )
 def test_factor_range_matches_factorize(start, end):
-    expected = [
-        (n, [(pp.prime, pp.exponent) for pp in factorize(n).factors])
-        for n in range(start, end + 1)
-    ]
-    assert list(_factor_range(start, end)) == expected
+    assert_rows_match_factorize(parsed_witness_rows(start, end), start, end)
 
 
 @pytest.mark.parametrize("start, end", [(1, 10_000), (10**12 + 1, 10**12 + 5000)])
 def test_factor_range_appends_cofactors_below_2_32_directly(monkeypatch, start, end):
-    expected = [
-        (n, [(pp.prime, pp.exponent) for pp in factorize(n).factors])
-        for n in range(start, end + 1)
-    ]
     cofactor = number_core._factor_cofactor
     calls, depth = [], []
 
@@ -510,7 +520,9 @@ def test_factor_range_appends_cofactors_below_2_32_directly(monkeypatch, start, 
             depth.pop()
 
     monkeypatch.setattr(number_core, "_factor_cofactor", no_small_cofactor)
-    assert list(_factor_range(start, end)) == expected
+    rows = parsed_witness_rows(start, end)
+    monkeypatch.undo()  # factorize's own cofactors may lie below 2^32
+    assert_rows_match_factorize(rows, start, end)
     assert bool(calls) == (start > 1)  # cofactors above 2^32 still go there
 
 
@@ -527,8 +539,12 @@ def test_factor_range_appends_cofactors_below_2_32_directly(monkeypatch, start, 
 )
 def test_factor_range_value_body_matches_the_witness_body(start, end):
     values = list(_factor_range(start, end, witness=False))
-    witnessed = [(n, *_eta_witness(factors)) for n, factors in _factor_range(start, end)]
-    assert values == [(n, value, argmax) for n, value, _, argmax in witnessed]
+    # the argmax is the first (smallest) prime whose eta_p is the row's eta
+    witnessed = [
+        (n, value, next((p for p, _, e in triples if e == value), None))
+        for n, value, triples in parsed_witness_rows(start, end)
+    ]
+    assert values == witnessed
 
 
 def test_factor_range_value_body_takes_eta_of_a_prime_square_cofactor():

@@ -142,6 +142,24 @@ def test_eta_keeps_the_range_check():
     assert str(oracle_info.value) == str(public_info.value)
 
 
+def test_eta_names_the_first_factor_out_of_range():
+    k2, k3 = INT64_MAX // 2 + 1, INT64_MAX // 3 + 1
+    for factors, message in [
+        # the first factor's eta_p is computed before the second is checked
+        (
+            (PrimePower(2, 10**6), PrimePower(3, k3)),
+            "eta_p(3074457345618258603, 3) may exceed the 64-bit range (bound p*k)",
+        ),
+        (
+            (PrimePower(2, k2), PrimePower(3, k3)),
+            "eta_p(4611686018427387904, 2) may exceed the 64-bit range (bound p*k)",
+        ),
+    ]:
+        with pytest.raises(OverflowError) as exc_info:
+            eta(Factorization(1, factors))
+        assert str(exc_info.value) == message
+
+
 def test_hand_built_non_primes_still_rejected():
     with pytest.raises(NotPrimeError):
         PrimePower(4, 1)
@@ -187,8 +205,52 @@ def test_verify_zeros_check_reports_a_wrong_solution(monkeypatch, wrong):
     outcome = verify.check_zeros_inverse(VerifyConfig(max_zeros=10))
     [(z, members)] = wrong.items()
     scan = solve_trailing_zeros(z).members
-    assert not outcome.ok
+    assert outcome.ok is False
     assert outcome.detail == f"1 failures, e.g. z={z}: {members} vs scan {scan}"
+
+
+def lie_at(function, wrong_args, wrong_value):
+    """function, except that it returns wrong_value at wrong_args."""
+    return lambda *args: wrong_value if args == wrong_args else function(*args)
+
+
+@pytest.mark.parametrize(
+    "check, name, liar, detail",
+    [
+        (
+            verify.check_oracle_equivalence,
+            "eta_p",
+            lie_at(verify.eta_p, (7, 3), 19),
+            "1 failures, e.g. eta_3(7)=19 but search gives 18",
+        ),
+        (
+            verify.check_repunit_round_trip,
+            "recompose",
+            lie_at(verify.recompose, (decompose(7, 3),), 8),
+            "1 failures, e.g. recompose(decompose(7, 3)) = 8",
+        ),
+        (
+            verify.check_monotone_and_non_injective,
+            "_eta_p",
+            lie_at(verify._eta_p, (10, 3), 20),
+            "1 failures, e.g. eta_3(10)=20 < eta_3(9)=21",
+        ),
+        (
+            verify.check_preimage,
+            "eta_p_preimage",
+            lie_at(verify.eta_p_preimage, (12, 2), 11),
+            "1 failures, e.g. eta_2(preimage(12))=14",
+        ),
+    ],
+    ids=["eta_p", "recompose", "_eta_p", "eta_p_preimage"],
+)
+def test_verify_check_fails_when_what_it_reads_lies_once(monkeypatch, check, name, liar, detail):
+    cfg = VerifyConfig(max_k=20, max_n=30, primes=3, max_zeros=10)
+    assert check(cfg).ok
+    monkeypatch.setattr(verify, name, liar)
+    outcome = check(cfg)
+    assert outcome.ok is False
+    assert outcome.detail == detail
 
 
 def test_decompose_rejects_non_primes_below_two_and_above():
