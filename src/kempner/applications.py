@@ -2,7 +2,10 @@
 inverse, smallest factorial multiples of factored targets, a prime
 characterization scan, and table emission for regression and cross-checks.
 The scan and the table rows read eta(n), with its argmax prime or its
-`json-lines` witness text, off the range sieve `number_core._factor_range`.
+`json-lines` witness text, off the range sieve `_factor_range`, which lives
+here beside its two callers and alone writes that witness text. It is a
+segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977) over the
+primes below 2^16, with eta's kernel `_eta_p` for each prime power.
 
 The inverse is eta applied twice: m! ends in at least z zeros exactly when
 10^z | m!, that is, when m >= eta(10^z) = eta_5(z), so the m with exactly z
@@ -11,16 +14,18 @@ zeros are eta_5(z) <= m < eta_5(z + 1).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
+from math import isqrt
 
 from .errors import SearchBudgetError
-from .eta import EtaResult, eta
+from .eta import EtaResult, _eta_p, eta
 from .number_core import (
     INT64_MAX,
+    SMALL_PRIMES,
     Factorization,
     _check_int,
-    _eta_p,
-    _factor_range,
+    _cofactor_primes,
     _legendre,
     _Record,
     is_prime,
@@ -93,8 +98,7 @@ def prime_characterization_scan(limit: int) -> list[int]:
     bound n > 4 matters: eta(4) = 4 although 4 is composite; `is_prime` is
     the side independent of the sieve.
     """
-    if limit <= 4:
-        raise ValueError(f"limit must be > 4, got {limit}")
+    _check_int("limit", limit, 5)
     if limit > SCAN_LIMIT:
         raise SearchBudgetError(f"scan limit {limit} exceeds budget {SCAN_LIMIT}")
     return [
@@ -131,3 +135,74 @@ def emit_table(start: int, end: int, fmt: str = "plain") -> Iterator[str]:
     else:
         for n, value, _ in _factor_range(start, end, witness=False):
             yield f"{n} {value}"
+
+
+_SEGMENT = 1 << 12  # numbers per sieve segment, which bounds memory near 2^63
+
+
+def _factor_range(start: int, end: int, witness: bool = True) -> Iterator[tuple]:
+    """(n, eta(n), pieces) for each n in [start, end], pieces the text
+    "[p,a,eta_p(a)]" of each p^a of n, primes increasing; with witness=False
+    (n, eta(n), argmax prime), the smallest prime on a tie, (1, 0, None) at 1.
+
+    For 1 <= start <= end <= INT64_MAX, unchecked. Each segment divides
+    the base primes up to min(2^16, sqrt(end)) out of their multiples;
+    what is left of an n then has no prime factor up to min(2^16, sqrt(n)).
+    Below 2^32 it is therefore prime (65537^2 > 2^32) and is appended as
+    it is; a larger one goes to `number_core._cofactor_primes`, whose
+    primes all exceed the base ones. One loop serves both bodies, chosen
+    per base prime; each keeps the row's largest eta_p(a) (a*p for a <=
+    p), and the witness body appends the factor's text, the value body
+    its prime. A cofactor prime q has a <= 3 < q (q > 65521 and q^a <
+    2^63), so its eta_q(a) is a*q.
+    """
+    base = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, min(1 << 16, isqrt(end)))]
+    for lo in range(start, end + 1, _SEGMENT):
+        size = min(_SEGMENT, end + 1 - lo)
+        rest = list(range(lo, lo + size))
+        found: list[list[str]] = [[] for _ in range(size)] if witness else []
+        best, arg = [0] * size, [None] * size
+        for p in base:
+            if witness:
+                for i in range(-lo % p, size, p):
+                    m, a = rest[i] // p, 1
+                    while m % p == 0:
+                        m //= p
+                        a += 1
+                    rest[i] = m
+                    e = a * p if a <= p else _eta_p(a, p)
+                    found[i].append(f"[{p},{a},{e}]")
+                    if e > best[i]:
+                        best[i] = e
+            else:
+                for i in range(-lo % p, size, p):
+                    m, a = rest[i] // p, 1
+                    while m % p == 0:
+                        m //= p
+                        a += 1
+                    rest[i] = m
+                    e = a * p if a <= p else _eta_p(a, p)
+                    if e > best[i]:
+                        best[i], arg[i] = e, p
+        if witness:
+            for n, m, value, pieces in zip(range(lo, lo + size), rest, best, found):
+                if 1 < m < 1 << 32:
+                    pieces.append(f"[{m},1,{m}]")
+                    if m > value:
+                        value = m
+                elif m > 1:
+                    for q, a in _cofactor_primes(m, 1 << 32):
+                        pieces.append(f"[{q},{a},{a * q}]")
+                        if a * q > value:
+                            value = a * q
+                yield n, value, pieces
+            continue
+        for n, m, value, argmax in zip(range(lo, lo + size), rest, best, arg):
+            if 1 < m < 1 << 32:
+                if m > value:
+                    value, argmax = m, m
+            elif m > 1:
+                for q, a in _cofactor_primes(m, 1 << 32):
+                    if a * q > value:
+                        value, argmax = a * q, q
+            yield n, value, argmax

@@ -16,12 +16,12 @@ Validation happens once, at the public boundary: `eta_p`, `eta_p_oracle` and
 trusts its `Factorization` (each `PrimePower` checked itself on
 construction) but still checks the p*k range, since a caller may have built
 it, and returns a trusted `EtaResult` (`_trusted_eta_result`). The kernel
-`_eta_p` trusts its arguments entirely and checks nothing; it lives in
-`number_core`, beside `_legendre`, because the range sieve calls it too.
+`_eta_p` lives here; it trusts its arguments entirely and checks nothing.
 `eta` checks each factor's range and builds its witness in one loop, so
 the first factor out of range raises. Table rows and the prime scan never
-build an `EtaResult`: they take eta(n), and its argmax prime or
-`json-lines` witness, straight from `number_core._factor_range`.
+build an `EtaResult`: the range sieve `applications._factor_range` imports
+the kernel and yields eta(n), with its argmax prime or `json-lines`
+witness, itself.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .number_core import (
     INT64_MAX,
     Factorization,
     _check_int,
-    _eta_p,
     _legendre,
     _Record,
     _require_prime,
@@ -72,6 +71,25 @@ _trusted_eta_result = EtaResult._builder()
 def _check_range(k: int, p: int) -> None:
     if p * k > INT64_MAX:
         raise OverflowError(f"eta_p({k}, {p}) may exceed the 64-bit range (bound p*k)")
+
+
+def _eta_p(k: int, p: int) -> int:
+    """eta_p(k) for k >= 0 (k = 0 gives 0) and prime p, arguments unchecked:
+    (p-1)*k plus the digit sum of k in the repunit base of p, as a digit t of
+    the repunit a_n = (p^n - 1)/(p - 1) stands for t * p^n = (p-1)*t*a_n + t.
+    The digits come from `decompose`'s greedy walk, repeated here on purpose
+    (a shared digit kernel was measured slower on the `table` and `factored`
+    benchmark workloads); a_n // p = a_{n-1}, as a_n = p*a_{n-1} + 1.
+    """
+    repunit = 1
+    while repunit * p < k:  # a_{n+1} = p*a_n + 1 <= k
+        repunit = repunit * p + 1
+    m = (p - 1) * k
+    while k:
+        digit, k = divmod(k, repunit)
+        m += digit
+        repunit //= p
+    return m
 
 
 def eta_p(k: int, p: int) -> int:

@@ -11,8 +11,8 @@ raises `NotPrimeError` below 2 or for a composite, and `_check_int(name,
 value, low)` raises `ValueError` below low and `OverflowError` above
 INT64_MAX, naming the argument and value; a would-be prime above INT64_MAX
 gets that same `OverflowError`. The private twins `_repunit` and
-`_legendre` skip the prime proof for callers that already hold a proven
-prime. `factorize` proves each prime it finds once (the least-factor
+`_legendre` skip the argument checks for callers that already hold a
+proven prime and a valid count (`_repunit` keeps its 128-bit guard). `factorize` proves each prime it finds once (the least-factor
 table and the trial primes yield primes by construction, and
 `_factor_cofactor` states the rule for what is left).
 
@@ -29,22 +29,17 @@ larger n is screened by one gcd with the product of the 172 primes below
 left has no prime factor up to 1021, so below 2^20 it is prime (the next
 prime is 1031 and 1031^2 > 2^20), and anything larger goes to `is_prime`
 and, unless it is a perfect square, cube or fifth power, to Brent's rho
-(Brent, BIT 20, 1980). `_factor_range` factors a whole range [start, end]
-for `table` and the prime scan: a segmented sieve of Eratosthenes (Bays &
-Hudson, BIT 17, 1977) divides each base prime up to min(2^16, sqrt(end))
-out of its multiples, so a cofactor below 2^32 is prime and is appended
-as it is. `factorize`, and `_factor_range` for a larger cofactor, hand
-what is left, with their bound, to `_factor_cofactor`, the one cofactor
-rule. It yields eta(n), found with the eta_p kernel `_eta_p` (which lives
-here for that reason), with the argmax prime for `plain`, `csv` and the
-prime scan, or with each prime power's witness text for `json-lines`.
+(Brent, BIT 20, 1980). `_cofactor_primes(m, proven_below)` is the one
+entry to that cofactor rule, `_factor_cofactor`: `factorize` calls it with
+2^20, and the range sieve of `applications`, whose base primes run up to
+2^16, with 2^32.
 
 The numbers below 2^16 are sieved once at import into `_LEAST`, an
 immutable `bytes` table of least prime factors (0 for a prime and below 2):
 `factorize` divides n < 2^16 by `_LEAST[n] or n` until 1 is left, which
 yields its primes in increasing order, and `is_prime` answers n < 2^16 by
-one lookup in it. `SMALL_PRIMES`, the primes below 2^16 that
-`_factor_range` and `first_primes` read, is extracted from the table with
+one lookup in it. `SMALL_PRIMES`, the primes below 2^16 that the range
+sieve and `first_primes` read, is extracted from the table with
 `itertools.compress`.
 Above 2^16, `is_prime` is deterministic and sized to n: Miller-Rabin with
 bases 2, 7, 61 below 4,759,123,141, the first strong pseudoprime to those
@@ -58,7 +53,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from itertools import compress
 from math import gcd, isqrt, prod
 
@@ -123,10 +118,8 @@ def is_prime(n: int) -> bool:
     OverflowError above the supported range rather than degrading to a
     probabilistic answer.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n > INT64_MAX:
-        raise OverflowError(f"is_prime supports n <= {INT64_MAX}, got {n}")
+    if not 0 <= n <= INT64_MAX:
+        _check_int("n", n, 0)
     if n < 2:
         return False
     if n < (1 << 16):
@@ -236,13 +229,12 @@ def repunit(p: int, n: int) -> int:
     Raises OverflowError once p^n leaves the 128-bit intermediate range.
     """
     _require_prime(p)
+    _check_int("n", n, 1)
     return _repunit(p, n)
 
 
 def _repunit(p: int, n: int) -> int:
-    """repunit(p, n) for a prime the caller has already proven."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    """repunit(p, n) for a prime the caller has already proven and n >= 1."""
     if n > 127:  # p >= 2, so p^n >= 2^n already too big
         raise OverflowError(f"p^n exceeds 128-bit range for p={p}, n={n}")
     power = p**n
@@ -270,25 +262,6 @@ def _legendre(m: int, p: int) -> int:
         total += q
         q //= p
     return total
-
-
-def _eta_p(k: int, p: int) -> int:
-    """eta_p(k) for k >= 0 (k = 0 gives 0) and prime p, arguments unchecked:
-    (p-1)*k plus the digit sum of k in the repunit base of p, as a digit t of
-    the repunit a_n = (p^n - 1)/(p - 1) stands for t * p^n = (p-1)*t*a_n + t.
-    The digits come from `decompose`'s greedy walk, repeated here on purpose
-    (a shared digit kernel was measured slower on the `table` and `factored`
-    benchmark workloads); a_n // p = a_{n-1}, as a_n = p*a_{n-1} + 1.
-    """
-    repunit = 1
-    while repunit * p < k:  # a_{n+1} = p*a_n + 1 <= k
-        repunit = repunit * p + 1
-    m = (p - 1) * k
-    while k:
-        digit, k = divmod(k, repunit)
-        m += digit
-        repunit //= p
-    return m
 
 
 class _Record:
@@ -444,8 +417,9 @@ def _factor_cofactor(n: int, acc: dict[int, int], proven_below: int, times: int 
     # n > 1 has no prime factor up to min(t, sqrt(n)), t the caller's last trial
     # prime, so below proven_below <= (next prime after t)^2 it is prime:
     # factorize, which has divided out every prime up to t = 1021, passes 2^20
-    # (1031 is next), _factor_range 2^32 (t = 65521, then 65537). Every key of
-    # acc is a proven prime, so a factor already there is not proven again.
+    # (1031 is next), the range sieve `applications._factor_range` 2^32 (t =
+    # 65521, then 65537). Every key of acc is a proven prime, so a factor
+    # already there is not proven again.
     if n < proven_below or n in acc or is_prime(n):
         acc[n] = acc.get(n, 0) + times
         return
@@ -463,6 +437,15 @@ def _factor_cofactor(n: int, acc: dict[int, int], proven_below: int, times: int 
     d = _pollard_rho(n)
     _factor_cofactor(d, acc, proven_below, times)
     _factor_cofactor(n // d, acc, proven_below, times)
+
+
+def _cofactor_primes(m: int, proven_below: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of a cofactor m > 1, primes increasing: the
+    one entry to `_factor_cofactor`, whose comment states what m and
+    proven_below must meet."""
+    acc: dict[int, int] = {}
+    _factor_cofactor(m, acc, proven_below)
+    return sorted(acc.items())
 
 
 def factorize(n: int) -> Factorization:
@@ -506,88 +489,8 @@ def factorize(n: int) -> Factorization:
                 a += 1
             factors.append(_trusted_prime_power(p, a))
     if m > 1:
-        rest: dict[int, int] = {}
-        _factor_cofactor(m, rest, 1 << 20)
-        factors.extend(_trusted_prime_power(p, a) for p, a in sorted(rest.items()))
+        factors.extend(_trusted_prime_power(p, a) for p, a in _cofactor_primes(m, 1 << 20))
     return _trusted_factorization(sign, tuple(factors))
-
-
-_SEGMENT = 1 << 12  # numbers per sieve segment, which bounds memory near 2^63
-
-
-def _factor_range(start: int, end: int, witness: bool = True) -> Iterator[tuple]:
-    """(n, eta(n), pieces) for each n in [start, end], pieces the text
-    "[p,a,eta_p(a)]" of each p^a of n, primes increasing; with witness=False
-    (n, eta(n), argmax prime), the smallest prime on a tie, (1, 0, None) at 1.
-
-    For 1 <= start <= end <= INT64_MAX, unchecked. Each segment divides
-    the base primes up to min(2^16, sqrt(end)) out of their multiples;
-    what is left of an n then has no prime factor up to min(2^16, sqrt(n)).
-    Below 2^32 it is therefore prime (65537^2 > 2^32) and is appended as
-    it is; a larger one goes to `_factor_cofactor`, whose primes all
-    exceed the base ones. One loop serves both bodies, chosen per base
-    prime; each keeps the row's largest eta_p(a) (a*p for a <= p), and the
-    witness body appends the factor's text, the value body its prime. A
-    prime q from `_factor_cofactor` has a <= 3 < q (q > 65521 and
-    q^a < 2^63), so its eta_q(a) is a*q.
-    """
-    base = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, min(1 << 16, isqrt(end)))]
-    for lo in range(start, end + 1, _SEGMENT):
-        size = min(_SEGMENT, end + 1 - lo)
-        rest = list(range(lo, lo + size))
-        found: list[list[str]] = [[] for _ in range(size)] if witness else []
-        best, arg = [0] * size, [None] * size
-        for p in base:
-            if witness:
-                for i in range(-lo % p, size, p):
-                    m, a = rest[i] // p, 1
-                    while m % p == 0:
-                        m //= p
-                        a += 1
-                    rest[i] = m
-                    e = a * p if a <= p else _eta_p(a, p)
-                    found[i].append(f"[{p},{a},{e}]")
-                    if e > best[i]:
-                        best[i] = e
-            else:
-                for i in range(-lo % p, size, p):
-                    m, a = rest[i] // p, 1
-                    while m % p == 0:
-                        m //= p
-                        a += 1
-                    rest[i] = m
-                    e = a * p if a <= p else _eta_p(a, p)
-                    if e > best[i]:
-                        best[i], arg[i] = e, p
-        if witness:
-            for n, m, value, pieces in zip(range(lo, lo + size), rest, best, found):
-                if 1 < m < 1 << 32:
-                    pieces.append(f"[{m},1,{m}]")
-                    if m > value:
-                        value = m
-                elif m > 1:
-                    for q, a in _cofactor_primes(m):
-                        pieces.append(f"[{q},{a},{a * q}]")
-                        if a * q > value:
-                            value = a * q
-                yield n, value, pieces
-            continue
-        for n, m, value, argmax in zip(range(lo, lo + size), rest, best, arg):
-            if 1 < m < 1 << 32:
-                if m > value:
-                    value, argmax = m, m
-            elif m > 1:
-                for q, a in _cofactor_primes(m):
-                    if a * q > value:
-                        value, argmax = a * q, q
-            yield n, value, argmax
-
-
-def _cofactor_primes(m: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of a sieve cofactor m > 2^32, primes increasing."""
-    acc: dict[int, int] = {}
-    _factor_cofactor(m, acc, 1 << 32)
-    return sorted(acc.items())
 
 
 def first_primes(count: int) -> tuple[int, ...]:

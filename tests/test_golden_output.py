@@ -24,6 +24,13 @@ FAR_TABLE_DIGESTS = {
     "json-lines": "e8ed4244f58418d99b550c2b998a95912147e9c0bd5dc9c405deb564f8c6e5fd",
 }
 
+# 300 rows from 2^62, whose cofactors exceed 2^32 and some of which need rho
+EDGE_TABLE_DIGESTS = {
+    "plain": "592508a882f3a8c461e6ae3ce74c91b20b588996e813c332887498897672af1e",
+    "csv": "935e5314ea76ab12c62653a5981084537c04cd789bb1dd692e8a227e5dd64618",
+    "json-lines": "7a31bbed74a3fe4ac2c4e6bcecfd4bcfa29b6e4863b3dcf6e8409b28cefc1177",
+}
+
 VERIFY_OUTPUT = """\
 ok   eta_p equals search oracle (10 primes x k<=500)
 ok   decompose/recompose round-trip (10 primes x k<=500)
@@ -50,6 +57,14 @@ def test_table_from_10_12_digest(capsys, fmt):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == FAR_TABLE_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(EDGE_TABLE_DIGESTS))
+def test_table_from_2_62_digest(capsys, fmt):
+    assert run(["table", "4611686018427387904", "4611686018427388203", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == EDGE_TABLE_DIGESTS[fmt]
 
 
 def test_default_verify_text(capsys):

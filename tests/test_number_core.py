@@ -23,7 +23,9 @@ from kempner import (
     repunit,
 )
 from kempner import number_core
-from kempner.number_core import SMALL_PRIMES, _eta_p, _factor_range, _strong_lucas
+from kempner.applications import _factor_range
+from kempner.eta import _eta_p
+from kempner.number_core import SMALL_PRIMES, _cofactor_primes, _strong_lucas
 
 FIRST_TEN_PRIMES = first_primes(10)
 
@@ -458,6 +460,26 @@ def test_factorize_matches_sympy_on_hard_families():
     for n in cases:
         got = {pp.prime: pp.exponent for pp in factorize(n).factors}
         assert got == sympy.factorint(n), n
+
+
+@pytest.mark.parametrize(
+    "m, proven_below",
+    [
+        # no prime factor up to 1021, factorize's last trial prime
+        (1031 * 1033, 1 << 20),
+        (1031**2, 1 << 20),
+        (65537, 1 << 20),
+        ((2**31 - 1) * 65537, 1 << 20),
+        # no prime factor up to 65521, the range sieve's last base prime
+        ((2**31 - 1) * 65537, 1 << 32),
+        (1000003**2, 1 << 32),
+        (65537 * 65539, 1 << 32),
+        (4294967311, 1 << 32),  # the least prime above 2^32
+    ],
+)
+def test_cofactor_primes_matches_factorize(m, proven_below):
+    expected = [(pp.prime, pp.exponent) for pp in factorize(m).factors]
+    assert _cofactor_primes(m, proven_below) == expected
 
 
 # --- _factor_range ----------------------------------------------------------

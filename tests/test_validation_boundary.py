@@ -24,9 +24,12 @@ from kempner import (
     eta_p_preimage,
     factorize,
     first_primes,
+    is_prime,
     legendre_valuation,
     parse_factored_expr,
+    prime_characterization_scan,
     recompose,
+    repunit,
     smallest_factorial_multiple,
     solve_trailing_zeros,
     trailing_zeros,
@@ -297,6 +300,16 @@ CONTRACT = [  # (id, call, exception type, message)
         lambda: legendre_valuation(10, PRIME_TOO_BIG),
         OverflowError,
         f"p {PRIME_LIMIT}",
+    ),
+    ("is_prime-low", lambda: is_prime(-1), ValueError, "n must be >= 0, got -1"),
+    ("is_prime-high", lambda: is_prime(TOO_BIG), OverflowError, f"n {LIMIT}"),
+    ("repunit-low", lambda: repunit(2, 0), ValueError, "n must be >= 1, got 0"),
+    ("repunit-high", lambda: repunit(2, TOO_BIG), OverflowError, f"n {LIMIT}"),
+    (
+        "prime_characterization_scan-low",
+        lambda: prime_characterization_scan(4),
+        ValueError,
+        "limit must be >= 5, got 4",
     ),
     ("PrimePower-low", lambda: PrimePower(2, 0), ValueError, "exponent must be >= 1, got 0"),
     (
