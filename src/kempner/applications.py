@@ -146,21 +146,23 @@ def _factor_range(start: int, end: int, witness: bool = True) -> Iterator[tuple]
     (n, eta(n), argmax prime), the smallest prime on a tie, (1, 0, None) at 1.
 
     For 1 <= start <= end <= INT64_MAX, unchecked. Each segment divides
-    the base primes up to min(2^16, sqrt(end)) out of their multiples;
-    what is left of an n then has no prime factor up to min(2^16, sqrt(n)).
-    Below 2^32 it is therefore prime (65537^2 > 2^32) and is appended as
-    it is; a larger one goes to `number_core._cofactor_primes`, whose
-    primes all exceed the base ones. One loop serves both bodies, chosen
-    per base prime; each keeps the row's largest eta_p(a) (a*p for a <=
-    p), and the witness body appends the factor's text, the value body
-    its prime. A cofactor prime q has a <= 3 < q (q > 65521 and q^a <
-    2^63), so its eta_q(a) is a*q.
+    the base primes, those up to limit, out of their multiples; one loop
+    serves both bodies, chosen per base prime, and each keeps the row's
+    largest eta_p(a) (a*p for a <= p), the witness body with the factor's
+    text, the value body with its prime. One tail then settles what is left
+    of each n for both: it has no prime factor up to limit, so below
+    (limit + 1)^2 (2^32 once end reaches 65535^2, above every row before)
+    it is prime, and a larger one goes to `number_core._cofactor_primes`.
+    A cofactor prime q has a <= 3 < q (q > 65535 there, q^a < 2^63), so
+    its eta_q(a) is a*q.
     """
-    base = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, min(1 << 16, isqrt(end)))]
+    limit = min(isqrt(end), (1 << 16) - 1)  # every prime up to it is in SMALL_PRIMES
+    base = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, limit)]
+    proven = (limit + 1) ** 2  # a composite with no prime factor up to limit is >= this
     for lo in range(start, end + 1, _SEGMENT):
         size = min(_SEGMENT, end + 1 - lo)
         rest = list(range(lo, lo + size))
-        found: list[list[str]] = [[] for _ in range(size)] if witness else []
+        found = [[] for _ in range(size)] if witness else [None] * size  # zipped by the tail
         best, arg = [0] * size, [None] * size
         for p in base:
             if witness:
@@ -184,25 +186,16 @@ def _factor_range(start: int, end: int, witness: bool = True) -> Iterator[tuple]
                     e = a * p if a <= p else _eta_p(a, p)
                     if e > best[i]:
                         best[i], arg[i] = e, p
-        if witness:
-            for n, m, value, pieces in zip(range(lo, lo + size), rest, best, found):
-                if 1 < m < 1 << 32:
+        for n, m, value, argmax, pieces in zip(range(lo, lo + size), rest, best, arg, found):
+            if 1 < m < proven:
+                if witness:
                     pieces.append(f"[{m},1,{m}]")
-                    if m > value:
-                        value = m
-                elif m > 1:
-                    for q, a in _cofactor_primes(m, 1 << 32):
-                        pieces.append(f"[{q},{a},{a * q}]")
-                        if a * q > value:
-                            value = a * q
-                yield n, value, pieces
-            continue
-        for n, m, value, argmax in zip(range(lo, lo + size), rest, best, arg):
-            if 1 < m < 1 << 32:
                 if m > value:
                     value, argmax = m, m
             elif m > 1:
-                for q, a in _cofactor_primes(m, 1 << 32):
+                for q, a in _cofactor_primes(m, proven):
+                    if witness:
+                        pieces.append(f"[{q},{a},{a * q}]")
                     if a * q > value:
                         value, argmax = a * q, q
-            yield n, value, argmax
+            yield n, value, pieces if witness else argmax

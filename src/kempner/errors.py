@@ -1,8 +1,8 @@
 """Shared exception types.
 
-Everything a caller can trigger with bad input derives from ValueError so a
-CLI or script can catch domain problems with a single `except` clause; range
-violations use the builtin OverflowError.
+Bad input raises a ValueError subclass (or ValueError itself), and a range
+violation the builtin OverflowError. `SearchBudgetError`, a scan or search
+over its budget, is a RuntimeError instead, so `cli.run` catches all three.
 """
 
 

@@ -55,14 +55,13 @@ class EtaResult(_Record):
         self.__post_init__()
 
     def __post_init__(self):
-        if self.per_prime:
-            best = max(e for _, _, e in self.per_prime)
-            if self.value != best:
-                raise ValueError(f"value {self.value} != max per-prime value {best}")
-            if (self.argmax_prime, self.value) not in {(p, e) for p, _, e in self.per_prime}:
-                raise ValueError(f"argmax_prime {self.argmax_prime} does not achieve {self.value}")
-        elif self.value != 0 or self.argmax_prime is not None:
-            raise ValueError("unit factorization must have value 0 and no argmax prime")
+        best = max((e for _, _, e in self.per_prime), default=0)
+        first = next((p for p, _, e in self.per_prime if e == best), None)
+        if (self.value, self.argmax_prime) != (best, first):
+            raise ValueError(
+                f"value and argmax_prime must be {best} and {first}, "
+                f"got {self.value} and {self.argmax_prime}"
+            )
 
 
 _trusted_eta_result = EtaResult._builder()

@@ -32,7 +32,7 @@ and, unless it is a perfect square, cube or fifth power, to Brent's rho
 (Brent, BIT 20, 1980). `_cofactor_primes(m, proven_below)` is the one
 entry to that cofactor rule, `_factor_cofactor`: `factorize` calls it with
 2^20, and the range sieve of `applications`, whose base primes run up to
-2^16, with 2^32.
+limit = min(sqrt(end), 2^16 - 1), with (limit + 1)^2.
 
 The numbers below 2^16 are sieved once at import into `_LEAST`, an
 immutable `bytes` table of least prime factors (0 for a prime and below 2):
@@ -417,9 +417,10 @@ def _factor_cofactor(n: int, acc: dict[int, int], proven_below: int, times: int 
     # n > 1 has no prime factor up to min(t, sqrt(n)), t the caller's last trial
     # prime, so below proven_below <= (next prime after t)^2 it is prime:
     # factorize, which has divided out every prime up to t = 1021, passes 2^20
-    # (1031 is next), the range sieve `applications._factor_range` 2^32 (t =
-    # 65521, then 65537). Every key of acc is a proven prime, so a factor
-    # already there is not proven again.
+    # (1031 is next), the range sieve `applications._factor_range`, which has
+    # divided out every prime up to its limit, (limit + 1)^2: 2^32 for every
+    # range that reaches 65535^2. Every key of acc is a proven prime, so a
+    # factor already there is not proven again.
     if n < proven_below or n in acc or is_prime(n):
         acc[n] = acc.get(n, 0) + times
         return

@@ -225,3 +225,5 @@ def test_eta_result_validation():
         EtaResult(7, ((2, 1, 2), (5, 1, 5)), 5)  # value is not the max
     with pytest.raises(ValueError):
         EtaResult(1, (), None)  # unit must have value 0
+    with pytest.raises(ValueError):
+        EtaResult(6, ((2, 4, 6), (3, 2, 6)), 3)  # a tie reports the smallest prime

@@ -555,6 +555,8 @@ def test_factor_range_appends_cofactors_below_2_32_directly(monkeypatch, start, 
         (10**12 + 1, 10**12 + 5000),
         (4_759_123_141 - 2000, 4_759_123_141 + 2000),  # where Baillie-PSW starts
         (1000003**2 - 100, 1000003**2 + 100),  # a prime square cofactor above 2^32
+        (2**32 - 1000, 2**32 + 1000),  # the proven bound (limit + 1)^2 once limit is 65535
+        (65537**2 - 50, 65537**2 + 50),  # square of the first prime above the base primes
         (2**62, 2**62 + 500),
         (INT64_MAX - 300, INT64_MAX),
     ],
