@@ -47,9 +47,7 @@ class ZerosSolution(_Record):
     __slots__ = __match_args__ = ("z", "members")
 
     def __init__(self, z: int, members: tuple[int, ...]) -> None:
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "members", members)
-        self.__post_init__()
+        self._fill(z, members)
 
     def __post_init__(self):
         expected = _zeros_members(self.z)

@@ -15,12 +15,13 @@ Validation happens once, at the public boundary: `eta_p`, `eta_p_oracle` and
 `_require_prime`, and every p*k bound goes through `_check_range`. `eta`
 trusts its `Factorization` (each `PrimePower` checked itself on
 construction) but still checks the p*k range, since a caller may have built
-it, and returns a trusted `EtaResult` (`_trusted_eta_result`). The kernel
-`_eta_p` lives here; it trusts its arguments entirely and checks nothing.
-`eta` checks each factor's range and builds its witness in one loop, so
-the first factor out of range raises. Table rows and the prime scan never
-build an `EtaResult`: the range sieve `applications._factor_range` imports
-the kernel and yields eta(n), with its argmax prime or `json-lines`
+it, and returns a trusted `EtaResult` (`_trusted_eta_result`); it owns the
+max rule and its tie, as `EtaResult`'s validator is `eta` over its own pairs.
+The kernel `_eta_p` lives here; it trusts its arguments entirely and checks
+nothing. `eta` checks each factor's range and builds its witness in one
+loop, so the first factor out of range raises. Table rows and the prime scan
+never build an `EtaResult`: the range sieve `applications._factor_range`
+imports the kernel and yields eta(n), with its argmax prime or `json-lines`
 witness, itself.
 """
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 from .number_core import (
     INT64_MAX,
     Factorization,
+    PrimePower,
     _check_int,
     _legendre,
     _Record,
@@ -41,7 +43,8 @@ class EtaResult(_Record):
 
     per_prime holds (prime, exponent, eta_p(exponent)) triples in increasing
     prime order; argmax_prime is None only for n = +/-1 (empty per_prime).
-    On a tie the smallest prime is reported.
+    On a tie the smallest prime is reported. A record must equal `eta` of its
+    (prime, exponent) pairs, whose `PrimePower`s prove each prime.
     """
 
     __slots__ = __match_args__ = ("value", "per_prime", "argmax_prime")
@@ -49,19 +52,12 @@ class EtaResult(_Record):
     def __init__(
         self, value: int, per_prime: tuple[tuple[int, int, int], ...], argmax_prime: int | None
     ) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "per_prime", per_prime)
-        object.__setattr__(self, "argmax_prime", argmax_prime)
-        self.__post_init__()
+        self._fill(value, per_prime, argmax_prime)
 
     def __post_init__(self):
-        best = max((e for _, _, e in self.per_prime), default=0)
-        first = next((p for p, _, e in self.per_prime if e == best), None)
-        if (self.value, self.argmax_prime) != (best, first):
-            raise ValueError(
-                f"value and argmax_prime must be {best} and {first}, "
-                f"got {self.value} and {self.argmax_prime}"
-            )
+        expected = eta(Factorization(1, tuple(PrimePower(p, a) for p, a, _ in self.per_prime)))
+        if self != expected:
+            raise ValueError(f"must equal eta of its pairs, {expected}, got {self}")
 
 
 _trusted_eta_result = EtaResult._builder()

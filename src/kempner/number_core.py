@@ -19,9 +19,10 @@ table and the trial primes yield primes by construction, and
 The result records of the package (`PrimePower` and `Factorization` here,
 and those of `eta`, `repunit_repr`, `applications` and `verify`) share the
 small base `_Record` rather than `dataclasses`, whose import pulls in
-`inspect` and `ast` and dominated the start-up of a one-shot CLI call. The
-constructors validate; what it computed itself the library returns through
-builders from `_Record._builder`, which skip the validator `__post_init__`.
+`inspect` and `ast` and dominated the start-up of a one-shot CLI call. Each
+`__init__` is one call to `_Record._fill`, which sets the fields and runs the
+validator `__post_init__`; what the library computed it returns through
+builders from `_Record._builder`, which skip the validator.
 
 `factorize` reads an n below 2^16 off the least-factor table below. A
 larger n is screened by one gcd with the product of the 172 primes below
@@ -268,10 +269,10 @@ class _Record:
     """Base of kempner's immutable result records.
 
     A record lists its fields in `__slots__`, which is also its
-    `__match_args__`. Its `__init__` sets each field through
-    `object.__setattr__` and, for a record with a validator, ends by calling
-    `__post_init__`, defined on the class so that kbench's tracer can wrap it
-    for its `.validate` spans. What the library computed it builds with
+    `__match_args__`. Its `__init__` keeps its own signature and calls
+    `_fill`, which sets the fields in slot order and runs `__post_init__`, the
+    validator, which kbench's tracer wraps on each validated class for its
+    `.validate` spans. What the library computed it builds with
     `_trusted_<record> = <Record>._builder()`, which sets the slots through
     their member descriptors and skips `__post_init__`. Records compare and
     hash by their field tuple and print as `Name(field=value, ...)`.
@@ -280,6 +281,14 @@ class _Record:
     """
 
     __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """The validator; a record with no invariants keeps this no-op."""
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -335,9 +344,7 @@ class PrimePower(_Record):
     __slots__ = __match_args__ = ("prime", "exponent")
 
     def __init__(self, prime: int, exponent: int) -> None:
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "exponent", exponent)
-        self.__post_init__()
+        self._fill(prime, exponent)
 
     def __post_init__(self):
         _require_prime(self.prime, "prime")
@@ -356,9 +363,7 @@ class Factorization(_Record):
     __slots__ = __match_args__ = ("sign", "factors")
 
     def __init__(self, sign: int, factors: tuple[PrimePower, ...]) -> None:
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "factors", factors)
-        self.__post_init__()
+        self._fill(sign, factors)
 
     def __post_init__(self):
         if self.sign not in (1, -1):

@@ -30,9 +30,7 @@ class RepunitDecomposition(_Record):
     __slots__ = __match_args__ = ("p", "terms")
 
     def __init__(self, p: int, terms: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "terms", terms)
-        self.__post_init__()
+        self._fill(p, terms)
 
     def __post_init__(self):
         _require_prime(self.p)

@@ -35,11 +35,7 @@ class VerifyConfig(_Record):
     def __init__(
         self, max_k: int = 500, max_n: int = 2000, primes: int = 10, max_zeros: int = 100
     ) -> None:
-        object.__setattr__(self, "max_k", max_k)
-        object.__setattr__(self, "max_n", max_n)
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "max_zeros", max_zeros)
-        self.__post_init__()
+        self._fill(max_k, max_n, primes, max_zeros)
 
     def __post_init__(self):
         for name in ("max_k", "primes", "max_zeros"):
@@ -65,9 +61,7 @@ class CheckOutcome(_Record):
     __slots__ = __match_args__ = ("name", "ok", "detail")
 
     def __init__(self, name: str, ok: bool, detail: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "detail", detail)
+        self._fill(name, ok, detail)
 
 
 def _outcome(name: str, failures: list[str], scope: str) -> CheckOutcome:

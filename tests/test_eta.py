@@ -227,3 +227,12 @@ def test_eta_result_validation():
         EtaResult(1, (), None)  # unit must have value 0
     with pytest.raises(ValueError):
         EtaResult(6, ((2, 4, 6), (3, 2, 6)), 3)  # a tie reports the smallest prime
+    with pytest.raises(ValueError):
+        EtaResult(7, ((2, 4, 7),), 2)  # eta_2(4) = 6
+    with pytest.raises(ValueError):
+        EtaResult(3, ((3, 1, 3), (2, 1, 2)), 3)  # primes out of order
+    with pytest.raises(NotPrimeError):
+        EtaResult(9, ((4, 1, 9),), 4)  # composite "prime"
+    p = 2**61 - 1
+    with pytest.raises(OverflowError):
+        EtaResult(8 * p, ((p, 8, 8 * p),), p)  # p*a above 64 bits, as eta refuses

@@ -5,15 +5,15 @@ Each record compares and hashes by its fields, prints as
 its fields by keyword or position, survives pickle and copy, and matches a
 positional class pattern. The records the library builds itself skip their
 validators, so every one its producers return must pass the validating
-constructor unchanged, and a record from a `_trusted_<record>` builder must
-behave like the constructor's.
+constructor unchanged, no producer may run a validator, and a record from a
+`_trusted_<record>` builder must behave like the constructor's.
 """
 
 import copy
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kempner import (
@@ -24,7 +24,9 @@ from kempner import (
     RepunitDecomposition,
     ZerosSolution,
     decompose,
+    emit_table,
     eta,
+    eta_p_oracle,
     factorize,
     parse_factored_expr,
     solve_trailing_zeros,
@@ -214,12 +216,21 @@ def assert_rebuilds(record):
 
 
 def assert_eta_rebuilds(f):
+    """eta(f) rebuilds, and, since its validator calls eta itself, also agrees
+    with the search oracle on every triple and with the first maximum."""
     if all(pp.prime * pp.exponent <= INT64_MAX for pp in f.factors):
-        assert_rebuilds(eta(f))
+        result = eta(f)
+        assert_rebuilds(result)
+        triples = result.per_prime
+        assert [(p, a) for p, a, _ in triples] == [(pp.prime, pp.exponent) for pp in f.factors]
+        assert all(e == eta_p_oracle(a, p) for p, a, e in triples)
+        p, _, e = max(triples, key=lambda triple: triple[2], default=(None, 0, 0))
+        assert (result.value, result.argmax_prime) == (e, p)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-INT64_MAX, INT64_MAX).filter(bool))
+@example(-144)  # eta_2(4) = eta_3(2) = 6, a tie
 def test_factorize_and_eta_results_rebuild(n):
     f = factorize(n)
     assert_rebuilds(f)
@@ -247,3 +258,30 @@ def test_decompositions_rebuild(k, p):
 @given(st.integers(0, INT64_MAX // 5))
 def test_zeros_solutions_rebuild(z):
     assert_rebuilds(solve_trailing_zeros(z))
+
+
+# Inputs on both sides of 2^16 and near 10^12, negatives and factored forms
+NEAR = (*range(1, 24), *range(65530, 65542), *range(10**12 - 6, 10**12 + 6))
+EXPRS = ("-1", "-65536", "1000000000000", "2^31*3^27*7^13", "-65537^3*2", "1000003^2*65521")
+
+
+def test_library_producers_never_run_a_validator(monkeypatch):
+    calls = []
+    for cls in (PrimePower, Factorization, EtaResult, RepunitDecomposition, ZerosSolution):
+        def spy(self, validate=cls.__post_init__):
+            calls.append(type(self).__name__)
+            validate(self)
+
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    for n in NEAR:
+        eta(factorize(n))
+        eta(factorize(-n))
+        solve_trailing_zeros(n)
+        for p in (2, 3, 65521, 65537, 10**12 + 39):
+            decompose(n, p)
+    for text in (*map(str, NEAR), *EXPRS):
+        eta(parse_factored_expr(text))
+    for fmt in ("plain", "csv", "json-lines"):
+        for start, end in ((1, 40), (65520, 65560), (10**12 - 20, 10**12 + 20)):
+            assert len(list(emit_table(start, end, fmt))) == end - start + 1 + 2 * (fmt == "csv")
+    assert calls == []
