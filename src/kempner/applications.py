@@ -1,11 +1,11 @@
 """Worked problems built on eta: trailing zeros of factorials and their
 inverse, smallest factorial multiples of factored targets, a prime
 characterization scan, and table emission for regression and cross-checks.
-The scan and the table rows read eta(n), with its argmax prime or its
-`json-lines` witness text, off the range sieve `_factor_range`, which lives
-here beside its two callers and alone writes that witness text. It is a
-segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977) over the
-primes below 2^16, with eta's kernel `_eta_p` for each prime power.
+The scan and the table rows read eta(n), its argmax prime and, for
+`json-lines`, its witness text off the range sieve `_factor_range`, which
+lives here beside its two callers and alone writes that text: a segmented
+sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977) over the primes below
+2^16, with one division loop, one row shape and eta's kernel `_eta_p`.
 
 The inverse is eta applied twice: m! ends in at least z zeros exactly when
 10^z | m!, that is, when m >= eta(10^z) = eta_5(z), so the m with exactly z
@@ -99,9 +99,8 @@ def prime_characterization_scan(limit: int) -> list[int]:
     _check_int("limit", limit, 5)
     if limit > SCAN_LIMIT:
         raise SearchBudgetError(f"scan limit {limit} exceeds budget {SCAN_LIMIT}")
-    return [
-        n for n, value, _ in _factor_range(5, limit, witness=False) if (value == n) != is_prime(n)
-    ]
+    rows = _factor_range(5, limit, witness=False)
+    return [n for n, value, _, _ in rows if (value == n) != is_prime(n)]
 
 
 def emit_table(start: int, end: int, fmt: str = "plain") -> Iterator[str]:
@@ -125,13 +124,13 @@ def emit_table(start: int, end: int, fmt: str = "plain") -> Iterator[str]:
         yield "n,eta,argmax_prime"
     # p^a <= n <= INT64_MAX and p*a <= p^a, so no row needs eta's p*k check
     if fmt == "json-lines":
-        for n, value, pieces in _factor_range(start, end):
+        for n, value, _, pieces in _factor_range(start, end):
             yield f'{{"n":{n},"eta":{value},"witness":[{",".join(pieces)}]}}'
     elif fmt == "csv":
-        for n, value, argmax in _factor_range(start, end, witness=False):
+        for n, value, argmax, _ in _factor_range(start, end, witness=False):
             yield f"{n},{value},{'' if argmax is None else argmax}"
     else:
-        for n, value, _ in _factor_range(start, end, witness=False):
+        for n, value, _, _ in _factor_range(start, end, witness=False):
             yield f"{n} {value}"
 
 
@@ -139,20 +138,18 @@ _SEGMENT = 1 << 12  # numbers per sieve segment, which bounds memory near 2^63
 
 
 def _factor_range(start: int, end: int, witness: bool = True) -> Iterator[tuple]:
-    """(n, eta(n), pieces) for each n in [start, end], pieces the text
-    "[p,a,eta_p(a)]" of each p^a of n, primes increasing; with witness=False
-    (n, eta(n), argmax prime), the smallest prime on a tie, (1, 0, None) at 1.
+    """(n, eta(n), argmax, pieces) for n in [start, end]: argmax the smallest
+    prime p with eta_p(a) = eta(n) (None at n = 1), pieces the text
+    "[p,a,eta_p(a)]" of each p^a of n, primes increasing, or None if not witness.
 
-    For 1 <= start <= end <= INT64_MAX, unchecked. Each segment divides
-    the base primes, those up to limit, out of their multiples; one loop
-    serves both bodies, chosen per base prime, and each keeps the row's
-    largest eta_p(a) (a*p for a <= p), the witness body with the factor's
-    text, the value body with its prime. One tail then settles what is left
-    of each n for both: it has no prime factor up to limit, so below
-    (limit + 1)^2 (2^32 once end reaches 65535^2, above every row before)
-    it is prime, and a larger one goes to `number_core._cofactor_primes`.
-    A cofactor prime q has a <= 3 < q (q > 65535 there, q^a < 2^63), so
-    its eta_q(a) is a*q.
+    For 1 <= start <= end <= INT64_MAX, unchecked. Each segment divides the
+    base primes, those up to limit, out of their multiples in one loop that
+    keeps the row's largest eta_p(a) (a*p for a <= p) and its prime; witness
+    only decides whether each factor's text is kept. One tail then settles
+    what is left of each n: it has no prime factor up to limit, so below
+    (limit + 1)^2 (2^32 once end reaches 65535^2, above every row before) it
+    is prime, and a larger one goes to `number_core._cofactor_primes`. Such
+    a prime q has a <= 3 < q (q > 65535, q^a < 2^63), so eta_q(a) is a*q.
     """
     limit = min(isqrt(end), (1 << 16) - 1)  # every prime up to it is in SMALL_PRIMES
     base = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, limit)]
@@ -163,27 +160,17 @@ def _factor_range(start: int, end: int, witness: bool = True) -> Iterator[tuple]
         found = [[] for _ in range(size)] if witness else [None] * size  # zipped by the tail
         best, arg = [0] * size, [None] * size
         for p in base:
-            if witness:
-                for i in range(-lo % p, size, p):
-                    m, a = rest[i] // p, 1
-                    while m % p == 0:
-                        m //= p
-                        a += 1
-                    rest[i] = m
-                    e = a * p if a <= p else _eta_p(a, p)
+            for i in range(-lo % p, size, p):
+                m, a = rest[i] // p, 1
+                while m % p == 0:
+                    m //= p
+                    a += 1
+                rest[i] = m
+                e = a * p if a <= p else _eta_p(a, p)
+                if witness:
                     found[i].append(f"[{p},{a},{e}]")
-                    if e > best[i]:
-                        best[i] = e
-            else:
-                for i in range(-lo % p, size, p):
-                    m, a = rest[i] // p, 1
-                    while m % p == 0:
-                        m //= p
-                        a += 1
-                    rest[i] = m
-                    e = a * p if a <= p else _eta_p(a, p)
-                    if e > best[i]:
-                        best[i], arg[i] = e, p
+                if e > best[i]:
+                    best[i], arg[i] = e, p
         for n, m, value, argmax, pieces in zip(range(lo, lo + size), rest, best, arg, found):
             if 1 < m < proven:
                 if witness:
@@ -196,4 +183,4 @@ def _factor_range(start: int, end: int, witness: bool = True) -> Iterator[tuple]
                         pieces.append(f"[{q},{a},{a * q}]")
                     if a * q > value:
                         value, argmax = a * q, q
-            yield n, value, pieces if witness else argmax
+            yield n, value, argmax, pieces

@@ -21,8 +21,8 @@ The kernel `_eta_p` lives here; it trusts its arguments entirely and checks
 nothing. `eta` checks each factor's range and builds its witness in one
 loop, so the first factor out of range raises. Table rows and the prime scan
 never build an `EtaResult`: the range sieve `applications._factor_range`
-imports the kernel and yields eta(n), with its argmax prime or `json-lines`
-witness, itself.
+imports the kernel and yields each row in one shape itself, eta(n) with its
+argmax prime and, when asked, its `json-lines` witness text.
 """
 
 from __future__ import annotations

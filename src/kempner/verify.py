@@ -174,5 +174,5 @@ ALL_CHECKS = (
 )
 
 
-def run_suites(cfg: VerifyConfig = VerifyConfig()) -> list[CheckOutcome]:
+def run_suites(cfg: VerifyConfig) -> list[CheckOutcome]:
     return [check(cfg) for check in ALL_CHECKS]

@@ -488,20 +488,21 @@ P31 = 2**31 - 1
 
 
 def parsed_witness_rows(start, end):
-    """(n, eta, [[p, a, e], ...]) per row of the witness body, its text parsed."""
+    """(n, eta, argmax, [[p, a, e], ...]) per witness row, its text parsed."""
     return [
-        (n, value, json.loads("[" + ",".join(pieces) + "]"))
-        for n, value, pieces in _factor_range(start, end)
+        (n, value, argmax, json.loads("[" + ",".join(pieces) + "]"))
+        for n, value, argmax, pieces in _factor_range(start, end)
     ]
 
 
 def assert_rows_match_factorize(rows, start, end):
-    assert [n for n, _, _ in rows] == list(range(start, end + 1))
-    for n, value, triples in rows:
+    assert [n for n, _, _, _ in rows] == list(range(start, end + 1))
+    for n, value, argmax, triples in rows:
         f = factorize(n)
         assert [(p, a) for p, a, _ in triples] == [(pp.prime, pp.exponent) for pp in f.factors]
         assert all(e == _eta_p(a, p) for p, a, e in triples), n
-        assert value == eta(f).value, n
+        result = eta(f)
+        assert (value, argmax) == (result.value, result.argmax_prime), n
 
 
 @pytest.mark.parametrize(
@@ -562,19 +563,18 @@ def test_factor_range_appends_cofactors_below_2_32_directly(monkeypatch, start, 
     ],
 )
 def test_factor_range_value_body_matches_the_witness_body(start, end):
-    values = list(_factor_range(start, end, witness=False))
+    rows = parsed_witness_rows(start, end)
     # the argmax is the first (smallest) prime whose eta_p is the row's eta
-    witnessed = [
-        (n, value, next((p for p, _, e in triples if e == value), None))
-        for n, value, triples in parsed_witness_rows(start, end)
-    ]
-    assert values == witnessed
+    for n, value, argmax, triples in rows:
+        assert argmax == next((p for p, _, e in triples if e == value), None), n
+    values = list(_factor_range(start, end, witness=False))
+    assert values == [(n, value, argmax, None) for n, value, argmax, _ in rows]
 
 
 def test_factor_range_value_body_takes_eta_of_a_prime_square_cofactor():
     # 1000003 is above every base prime, so its square reaches _factor_cofactor
     n = 1000003**2
-    assert list(_factor_range(n, n, witness=False)) == [(n, 2 * 1000003, 1000003)]
+    assert list(_factor_range(n, n, witness=False)) == [(n, 2000006, 1000003, None)]
 
 
 # --- dataclass invariants ------------------------------------------------------
