@@ -11,10 +11,7 @@ class ZeroInputError(ValueError):
 
 
 class NotPrimeError(ValueError):
-    """Raised when an argument that must be prime is not.
-
-    Carries the offending value so parsers can point at the bad base.
-    """
+    """Raised when an argument that must be prime is not; `value` holds it."""
 
     def __init__(self, value: int, context: str = "p"):
         self.value = value

@@ -6,12 +6,13 @@ Grammar: `[-] base [^ exponent] ( * base [^ exponent] )*`, omitted exponent
 one int(), factored on the spot; a factored form must use prime bases but
 may denote values far beyond 64 bits, the whole point of accepting it.
 
-One regex, `_EXPR`, decides whether a text is well-formed. A text it refuses,
-or one with a number int() refuses, is walked token by token only to explain
-the rejection as an `ExprSyntaxError` with a 0-based position. The walk checks
-every character before the grammar, so `unexpected character …` and `number
-too long (N digits)` win over `empty expression`, `expected a base`,
-`expected an exponent` and `unexpected trailing input`.
+One regex, `_EXPR`, is the grammar. A text it refuses, or one with a number
+int() refuses, gets an `ExprSyntaxError` with a 0-based position: first any
+`unexpected character …` or `number too long (N digits)`, in text order; then
+`empty expression` for a blank text; else the fault is read off the longest
+start `_EXPR.match` accepts: `expected a base` at the token after the sign or
+after a `*`, `expected an exponent` after a `^` on a term without one, and
+`unexpected trailing input` at any other token that follows it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ _EXPR = re.compile(rf"\s*(?:(-)\s*)?({_TERM.pattern}(?:\s*\*\s*{_TERM.pattern})*
 
 def _syntax_error(text: str) -> ExprSyntaxError:
     """The ExprSyntaxError explaining why `_EXPR` or int() refused a text."""
-    tokens: list[tuple[str, int]] = []  # (digit run or operator, position)
     for match in _TOKEN.finditer(text):
         token, at = match.group(), match.start()
         if token not in "*^-":
@@ -47,22 +47,19 @@ def _syntax_error(text: str) -> ExprSyntaxError:
                 int(token)
             except ValueError:  # only CPython's limit on int-string length
                 return ExprSyntaxError(f"number too long ({len(token)} digits)", at)
-        tokens.append((token, at))
-    if not tokens:
+    if not text.strip():
         return ExprSyntaxError("empty expression", 0)
-
-    body = tokens[1:] if tokens[0][0] == "-" else tokens
-    if len(body) % 2 == 0:  # ends on an operator, or nothing follows the sign:
-        body.append(("", len(text)))  # the missing operand is reported at the end
-    op = "*"  # the operator before the current operand
-    for i, (token, at) in enumerate(body):  # operand, operator, operand, ...
-        if i % 2:
-            if token != "*" and (token != "^" or op == "^"):
-                return ExprSyntaxError("unexpected trailing input", at)
-            op = token
-        elif token in "*^-":  # an operator, or the "" of a missing operand
-            return ExprSyntaxError("expected an exponent" if op == "^" else "expected a base", at)
-    raise AssertionError(f"the grammar refused {text!r} but the token walk found no fault")
+    match = _EXPR.match(text)
+    if match is None:  # no term after the optional sign
+        rest = text.lstrip().removeprefix("-").lstrip()
+        return ExprSyntaxError("expected a base", len(text) - len(rest))
+    at = match.end()  # the first token after the longest well-formed start
+    after = len(text) - len(text[at + 1 :].lstrip())  # the token after it, or len(text)
+    if text[at] == "*":
+        return ExprSyntaxError("expected a base", after)
+    if text[at] == "^" and "^" not in match[2].rpartition("*")[2]:
+        return ExprSyntaxError("expected an exponent", after)
+    return ExprSyntaxError("unexpected trailing input", at)
 
 
 def parse_factored_expr(text: str) -> Factorization:

@@ -368,7 +368,10 @@ class Factorization(_Record):
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        primes = [f.prime for f in self.factors]
+        factors = self.factors
+        if not isinstance(factors, tuple) or not all(isinstance(f, PrimePower) for f in factors):
+            raise ValueError(f"factors must be a tuple of PrimePower, got {factors!r}")
+        primes = [f.prime for f in factors]
         if any(a >= b for a, b in zip(primes, primes[1:])):
             raise ValueError(f"primes must be strictly increasing, got {primes}")
 

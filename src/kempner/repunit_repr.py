@@ -34,6 +34,8 @@ class RepunitDecomposition(_Record):
 
     def __post_init__(self):
         _require_prime(self.p)
+        if not isinstance(self.terms, tuple) or not all(isinstance(t, tuple) for t in self.terms):
+            raise ValueError(f"terms must be a tuple of tuples, got {self.terms!r}")
         _check_terms(self.p, self.terms)
 
 

@@ -7,6 +7,8 @@ deployed build can be validated without a test framework installed.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
+
 from .applications import (
     SCAN_LIMIT,
     prime_characterization_scan,
@@ -64,103 +66,92 @@ class CheckOutcome(_Record):
         self._fill(name, ok, detail)
 
 
-def _outcome(name: str, failures: list[str], scope: str) -> CheckOutcome:
-    if failures:
-        shown = "; ".join(failures[:5])
-        return CheckOutcome(name, False, f"{len(failures)} failures, e.g. {shown}")
-    return CheckOutcome(name, True, scope)
+def _check(name: str, scope: Callable[[VerifyConfig], str]) -> Callable:
+    """Make a generator of a check's failure texts into its `check_*(cfg)`."""
+
+    def wrap(failures_of: Callable[[VerifyConfig], Iterator[str]]) -> Callable:
+        def check(cfg: VerifyConfig) -> CheckOutcome:
+            failures = list(failures_of(cfg))
+            if failures:
+                shown = "; ".join(failures[:5])
+                return CheckOutcome(name, False, f"{len(failures)} failures, e.g. {shown}")
+            return CheckOutcome(name, True, scope(cfg))
+
+        check.__name__ = check.__qualname__ = failures_of.__name__
+        return check
+
+    return wrap
 
 
-def check_oracle_equivalence(cfg: VerifyConfig) -> CheckOutcome:
-    failures = []
-    primes = first_primes(cfg.primes)
-    for p in primes:
+@_check("eta_p equals search oracle", lambda cfg: f"{cfg.primes} primes x k<={cfg.max_k}")
+def check_oracle_equivalence(cfg: VerifyConfig) -> Iterator[str]:
+    for p in first_primes(cfg.primes):
         for k in range(1, cfg.max_k + 1):
             fast, slow = eta_p(k, p), eta_p_oracle(k, p)
             if fast != slow:
-                failures.append(f"eta_{p}({k})={fast} but search gives {slow}")
-    return _outcome(
-        "eta_p equals search oracle",
-        failures,
-        f"{len(primes)} primes x k<={cfg.max_k}",
-    )
+                yield f"eta_{p}({k})={fast} but search gives {slow}"
 
 
-def check_repunit_round_trip(cfg: VerifyConfig) -> CheckOutcome:
-    failures = []
-    primes = first_primes(cfg.primes)
-    for p in primes:
+@_check("decompose/recompose round-trip", lambda cfg: f"{cfg.primes} primes x k<={cfg.max_k}")
+def check_repunit_round_trip(cfg: VerifyConfig) -> Iterator[str]:
+    for p in first_primes(cfg.primes):
         for k in range(1, cfg.max_k + 1):
             d = decompose(k, p)  # trusted, and p proven: check the digits alone
             _check_terms(d.p, d.terms)
             back = recompose(d)
             if back != k:
-                failures.append(f"recompose(decompose({k}, {p})) = {back}")
-    return _outcome(
-        "decompose/recompose round-trip",
-        failures,
-        f"{len(primes)} primes x k<={cfg.max_k}",
-    )
+                yield f"recompose(decompose({k}, {p})) = {back}"
 
 
-def check_divisibility_minimality(cfg: VerifyConfig) -> CheckOutcome:
-    failures = []
+@_check("eta equals linear-scan oracle", lambda cfg: f"n<={cfg.max_n}")
+def check_divisibility_minimality(cfg: VerifyConfig) -> Iterator[str]:
     for n in range(2, cfg.max_n + 1):
         f = factorize(n)
         m = eta(f).value
         if m != eta_oracle(f):
-            failures.append(f"eta({n})={m} but linear scan gives {eta_oracle(f)}")
-    return _outcome("eta equals linear-scan oracle", failures, f"n<={cfg.max_n}")
+            yield f"eta({n})={m} but linear scan gives {eta_oracle(f)}"
 
 
-def check_monotone_and_non_injective(cfg: VerifyConfig) -> CheckOutcome:
-    failures = []
+@_check("eta_p nondecreasing with collisions", lambda cfg: f"{cfg.primes} primes x k<={cfg.max_n}")
+def check_monotone_and_non_injective(cfg: VerifyConfig) -> Iterator[str]:
     for p in first_primes(cfg.primes):  # primes by construction: no proof needed
         previous = _eta_p(1, p)
         collision = False
         for k in range(2, cfg.max_n + 1):
             current = _eta_p(k, p)
             if current < previous:
-                failures.append(f"eta_{p}({k})={current} < eta_{p}({k - 1})={previous}")
+                yield f"eta_{p}({k})={current} < eta_{p}({k - 1})={previous}"
             if current == previous:
                 collision = True
             previous = current
         if not collision:
-            failures.append(f"no collision found for p={p} up to k={cfg.max_n}")
-    return _outcome(
-        "eta_p nondecreasing with collisions",
-        failures,
-        f"{cfg.primes} primes x k<={cfg.max_n}",
-    )
+            yield f"no collision found for p={p} up to k={cfg.max_n}"
 
 
-def check_preimage(cfg: VerifyConfig) -> CheckOutcome:
-    failures = []
-    top = min(500, cfg.max_n)
-    for m in range(2, top + 1):
+@_check("preimage inverts eta_p", lambda cfg: f"m<={min(500, cfg.max_n)}")
+def check_preimage(cfg: VerifyConfig) -> Iterator[str]:
+    for m in range(2, min(500, cfg.max_n) + 1):
         p = next(q for q in range(2, m + 1) if m % q == 0)  # smallest prime factor
         k = eta_p_preimage(m, p)
         if eta_p(k, p) != m:
-            failures.append(f"eta_{p}(preimage({m}))={eta_p(k, p)}")
-    return _outcome("preimage inverts eta_p", failures, f"m<={top}")
+            yield f"eta_{p}(preimage({m}))={eta_p(k, p)}"
 
 
-def check_prime_characterization(cfg: VerifyConfig) -> CheckOutcome:
-    failures = [f"n={n}" for n in prime_characterization_scan(cfg.max_n)]
-    return _outcome("eta(n)=n exactly at primes (n>4)", failures, f"n<={cfg.max_n}")
+@_check("eta(n)=n exactly at primes (n>4)", lambda cfg: f"n<={cfg.max_n}")
+def check_prime_characterization(cfg: VerifyConfig) -> Iterator[str]:
+    yield from (f"n={n}" for n in prime_characterization_scan(cfg.max_n))
 
 
-def check_zeros_inverse(cfg: VerifyConfig) -> CheckOutcome:
+@_check("trailing-zeros solutions match scan", lambda cfg: f"z<={cfg.max_zeros}")
+def check_zeros_inverse(cfg: VerifyConfig) -> Iterator[str]:
     scan: dict[int, list[int]] = {}  # z -> the m whose factorial has z zeros
     for m in range(1, 5 * cfg.max_zeros + 11):  # m >= 5z + 5 has more than z zeros
         scan.setdefault(trailing_zeros(m), []).append(m)
-    failures = []
     for z in range(1, cfg.max_zeros + 1):
         got = solve_trailing_zeros(z).members
         expected = tuple(scan.get(z, ()))
         if got != expected:
-            failures.append(f"z={z}: {got} vs scan {expected}")
-    return _outcome("trailing-zeros solutions match scan", failures, f"z<={cfg.max_zeros}")
+            yield f"z={z}: {got} vs scan {expected}"
 
 
 ALL_CHECKS = (

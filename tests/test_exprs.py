@@ -195,11 +195,44 @@ def test_whitespace_is_exactly_str_isspace():
 GRAMMAR_ALPHABET = list("0123456789*^-") + [" ", "\t", "\n", "\u00a0", "\u3000", "x", "\u00b2", "\u0663"]
 
 
+def token_walk_error(text):
+    """A reference explanation of a refused text, independent of `_EXPR`: the
+    operand/operator walk over the tokens, or None when it finds no fault."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        token, at = match.group(), match.start()
+        if token not in "*^-":
+            if not "0" <= token[0] <= "9":
+                return f"unexpected character {token!r}", at
+            try:
+                int(token)
+            except ValueError:
+                return f"number too long ({len(token)} digits)", at
+        tokens.append((token, at))
+    if not tokens:
+        return "empty expression", 0
+    body = tokens[1:] if tokens[0][0] == "-" else tokens
+    if len(body) % 2 == 0:  # a missing operand is reported at the end
+        body.append(("", len(text)))
+    op = "*"  # the operator before the current operand
+    for i, (token, at) in enumerate(body):
+        if i % 2:
+            if token != "*" and (token != "^" or op == "^"):
+                return "unexpected trailing input", at
+            op = token
+        elif token in "*^-":
+            return ("expected an exponent" if op == "^" else "expected a base"), at
+    return None
+
+
 @given(st.text(GRAMMAR_ALPHABET, max_size=14))
 @settings(max_examples=1000)
-def test_grammar_accepts_exactly_what_the_token_walk_accepts(text):
-    try:
-        walk_error = _syntax_error(text)
-    except AssertionError:  # the walk found no fault
-        walk_error = None
-    assert (_EXPR.fullmatch(text) is not None) == (walk_error is None), walk_error
+def test_syntax_error_agrees_with_a_reference_token_walk(text):
+    expected = token_walk_error(text)
+    if _EXPR.fullmatch(text) is not None:
+        assert expected is None
+        return
+    assert expected is not None
+    error = _syntax_error(text)
+    message, position = expected
+    assert (str(error), error.position) == (f"{message} (at position {position})", position)

@@ -571,13 +571,13 @@ def test_factor_range_value_body_matches_the_witness_body(start, end):
     assert values == [(n, value, argmax, None) for n, value, argmax, _ in rows]
 
 
-def test_factor_range_value_body_takes_eta_of_a_prime_square_cofactor():
+def test_factor_range_takes_eta_of_a_prime_square_cofactor():
     # 1000003 is above every base prime, so its square reaches _factor_cofactor
     n = 1000003**2
     assert list(_factor_range(n, n, witness=False)) == [(n, 2000006, 1000003, None)]
 
 
-# --- dataclass invariants ------------------------------------------------------
+# --- record invariants -------------------------------------------------------
 
 
 def test_prime_power_validation():
@@ -594,3 +594,7 @@ def test_factorization_validation():
         Factorization(1, (PrimePower(5, 1), PrimePower(3, 1)))  # out of order
     with pytest.raises(ValueError):
         Factorization(1, (PrimePower(3, 1), PrimePower(3, 2)))  # repeated prime
+    with pytest.raises(ValueError, match=r"^factors must be a tuple of PrimePower, got \["):
+        Factorization(1, [PrimePower(2, 3)])  # a list: mutable and unhashable
+    with pytest.raises(ValueError, match=r"^factors must be a tuple of PrimePower, got \(\(2, 3"):
+        Factorization(1, ((2, 3),))  # a pair where a PrimePower belongs

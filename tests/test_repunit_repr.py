@@ -126,3 +126,5 @@ def test_decomposition_invariant_validation():
         RepunitDecomposition(3, ((0, 1),))  # exponent < 1
     with pytest.raises(NotPrimeError):
         RepunitDecomposition(4, ((1, 1),))
+    with pytest.raises(ValueError, match=r"^terms must be a tuple of tuples, got \[\(1, 1\)\]$"):
+        RepunitDecomposition(3, [(1, 1)])  # a list: mutable and unhashable
