@@ -22,12 +22,12 @@ from .errors import SearchBudgetError
 from .eta import EtaResult, _eta_p, eta
 from .number_core import (
     INT64_MAX,
-    SMALL_PRIMES,
     Factorization,
     _check_int,
     _cofactor_primes,
     _legendre,
     _Record,
+    _small_primes,
     is_prime,
 )
 
@@ -151,8 +151,9 @@ def _factor_range(start: int, end: int, witness: bool = True) -> Iterator[tuple]
     is prime, and a larger one goes to `number_core._cofactor_primes`. Such
     a prime q has a <= 3 < q (q > 65535, q^a < 2^63), so eta_q(a) is a*q.
     """
-    limit = min(isqrt(end), (1 << 16) - 1)  # every prime up to it is in SMALL_PRIMES
-    base = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, limit)]
+    limit = min(isqrt(end), (1 << 16) - 1)  # every prime up to it is a small prime
+    primes = _small_primes()
+    base = primes[: bisect_right(primes, limit)]
     proven = (limit + 1) ** 2  # a composite with no prime factor up to limit is >= this
     for lo in range(start, end + 1, _SEGMENT):
         size = min(_SEGMENT, end + 1 - lo)

@@ -2,10 +2,12 @@
 
 Results go to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 domain error (or stdout closed before the output was written), 2 usage
-error, 3 verification failure. `COMMANDS` is the one place where a
-subcommand is declared: its name, help, handler and arguments. `run` builds
-the parser on its first call and reuses it for every later call in the
-process; argparse reads COLUMNS when it formats help, not when it builds.
+error, 3 verification failure. `table` writes each row as soon as it is
+computed, in one `write` call, and holds no rows back, so `table ... | head`
+stops it early. `COMMANDS` is the one place where a subcommand is declared:
+its name, help, handler and arguments. `run` builds the parser on its first
+call and reuses it for every later call in the process; argparse reads
+COLUMNS when it formats help, not when it builds.
 """
 
 from __future__ import annotations
@@ -68,8 +70,11 @@ def _cmd_decompose(args) -> None:
 
 
 def _cmd_table(args) -> None:
+    # one write per row, where print makes two (each a system call on an
+    # unbuffered stdout); sys.stdout is read per call, so redirects see it
+    write = sys.stdout.write
     for line in emit_table(args.start, args.end, args.format):
-        print(line)
+        write(line + "\n")
 
 
 def _cmd_verify(args) -> int | None:
@@ -88,7 +93,8 @@ def _cmd_verify(args) -> int | None:
 
 
 _INT = {"type": integer}
-_VERIFY_DEFAULTS = VerifyConfig()
+# off the signature: a VerifyConfig() would build the prime list at import
+_VERIFY_DEFAULTS = dict(zip(VerifyConfig.__slots__, VerifyConfig.__init__.__defaults__))
 
 # (name, help, handler, arguments) in `--help` order, each argument a (flag,
 # add_argument keywords) pair; a handler that returns None has succeeded
@@ -110,7 +116,7 @@ COMMANDS = (
      lambda args: print(format_factorization(factorize(args.n))), [("n", _INT)]),
     ("verify", "run oracle-equivalence and property suites", _cmd_verify, [
         ("--" + field.replace("_", "-"),
-         {"type": integer, "default": getattr(_VERIFY_DEFAULTS, field), "help": text})
+         {"type": integer, "default": _VERIFY_DEFAULTS[field], "help": text})
         for field, text in (
             ("max_k",
              "largest k of the eta_p and round-trip checks; the time grows linearly in it"),

@@ -39,9 +39,10 @@ The numbers below 2^16 are sieved once at import into `_LEAST`, an
 immutable `bytes` table of least prime factors (0 for a prime and below 2):
 `factorize` divides n < 2^16 by `_LEAST[n] or n` until 1 is left, which
 yields its primes in increasing order, and `is_prime` answers n < 2^16 by
-one lookup in it. `SMALL_PRIMES`, the primes below 2^16 that the range
-sieve and `first_primes` read, is extracted from the table with
-`itertools.compress`.
+one lookup in it. `_small_primes()`, the primes below 2^16 that the range
+sieve, `verify` and `first_primes` read, is extracted from the table with
+`itertools.compress` on its first call, so a command that reads none of
+them does not pay ~1 ms of its start-up to build it.
 Above 2^16, `is_prime` is deterministic and sized to n: Miller-Rabin with
 bases 2, 7, 61 below 4,759,123,141, the first strong pseudoprime to those
 bases (Jaeschke, Math. Comp. 61, 1993), then the Baillie-PSW test, a
@@ -53,8 +54,8 @@ Fiori & Wagstaff, Math. Comp. 90, 2021).
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from collections.abc import Callable
+from functools import cache
 from itertools import compress
 from math import gcd, isqrt, prod
 
@@ -80,19 +81,22 @@ def _least_factors() -> bytes:
     return bytes(least)
 
 
-# All immutable: the least-factor table for 0..2^16 - 1, the primes below
-# 2^16, which are 2 and the odd n >= 3 with a 0 entry (the translation maps
-# 0 to 1 and the rest to 0), and factorize's trial divisors, the 172 primes
-# below 2^10, with their product (1,420 bits), and the product of the twelve
-# primes up to 37 that `is_prime` screens with.
+# All immutable: the least-factor table for 0..2^16 - 1, factorize's trial
+# divisors, the 172 primes below 2^10 (the n >= 2 with a 0 entry), with their
+# product (1,420 bits), and the product of the twelve primes up to 37 that
+# `is_prime` screens with.
 _LEAST = _least_factors()
-SMALL_PRIMES = (
-    2,
-    *compress(range(3, 1 << 16, 2), _LEAST[3::2].translate(bytes([1]) + bytes(255))),
-)
-_TRIAL_PRIMES = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, 1 << 10)]
+_TRIAL_PRIMES = tuple(p for p in range(2, 1 << 10) if not _LEAST[p])
 _TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
-_PRODUCT_TO_37 = prod(SMALL_PRIMES[:12])
+_PRODUCT_TO_37 = prod(_TRIAL_PRIMES[:12])
+
+
+@cache
+def _small_primes() -> tuple[int, ...]:
+    """The 6,542 primes below 2^16: 2 and the odd n >= 3 with a 0 entry in
+    the least-factor table (the translation maps 0 to 1 and the rest to 0)."""
+    return (2, *compress(range(3, 1 << 16, 2), _LEAST[3::2].translate(bytes([1]) + bytes(255))))
+
 
 # `is_prime` tests n < _BPSW_FROM with the witnesses 2, 7 and 61, and
 # _BPSW_FROM is the smallest strong pseudoprime to those bases (Jaeschke),
@@ -505,6 +509,7 @@ def factorize(n: int) -> Factorization:
 def first_primes(count: int) -> tuple[int, ...]:
     """The first `count` primes in increasing order."""
     _check_int("count", count, 0)
-    if count > len(SMALL_PRIMES):
-        raise ValueError(f"count must be <= {len(SMALL_PRIMES)}, got {count}")
-    return SMALL_PRIMES[:count]
+    primes = _small_primes()
+    if count > len(primes):
+        raise ValueError(f"count must be <= {len(primes)}, got {count}")
+    return primes[:count]

@@ -16,7 +16,7 @@ from .applications import (
     trailing_zeros,
 )
 from .eta import _eta_p, eta, eta_oracle, eta_p, eta_p_oracle, eta_p_preimage
-from .number_core import SMALL_PRIMES, _check_int, _Record, factorize, first_primes
+from .number_core import _check_int, _Record, _small_primes, factorize, first_primes
 from .repunit_repr import _check_terms, decompose, recompose
 
 
@@ -43,7 +43,7 @@ class VerifyConfig(_Record):
         for name in ("max_k", "primes", "max_zeros"):
             _check_int(name, getattr(self, name), 1)
         for name, top in (
-            ("primes", len(SMALL_PRIMES)),
+            ("primes", len(_small_primes())),
             ("max_n", SCAN_LIMIT),
             ("max_k", MAX_K),
             ("max_zeros", MAX_ZEROS),

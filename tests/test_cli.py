@@ -174,6 +174,33 @@ def test_table_plain(capsys):
     assert out == "5 5\n"
 
 
+class WriteLog:
+    """Stands in for stdout and keeps the text of each write call."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, s: str) -> int:
+        self.writes.append(s)
+        return len(s)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json-lines"])
+def test_table_writes_each_row_in_one_write(capsys, fmt):
+    argv = ["table", "1", "300", "--format", fmt]
+    assert run(argv) == 0
+    text = capsys.readouterr().out
+    log = WriteLog()
+    with redirect_stdout(log):
+        assert run(argv) == 0
+    assert len(log.writes) == len(text.splitlines()) == 300 + 2 * (fmt == "csv")
+    assert all(w.endswith("\n") and w.count("\n") == 1 for w in log.writes)
+    assert "".join(log.writes) == text
+
+
 def test_table_range_is_checked_before_the_first_row(capsys):
     top = 2**63 - 1
     assert invoke(capsys, "table", str(top - 1), str(top + 2)) == (
@@ -464,6 +491,20 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "\n"
+
+
+def test_cli_import_leaves_the_prime_list_unbuilt():
+    # only table, verify and first_primes read the primes below 2^16
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kempner.__file__)))
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import kempner.cli; "
+        "from kempner.number_core import _small_primes; "
+        "print(_small_primes.cache_info().currsize)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "0\n")
 
 
 @pytest.mark.parametrize("module", ["kempner", "kempner.cli"])
