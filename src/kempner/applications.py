@@ -7,7 +7,7 @@ lives here beside its two callers and alone writes that text: a segmented
 sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977) over the primes below
 2^16, with one division loop, one row shape and eta's kernel `_eta_p`.
 
-The inverse is eta applied twice: m! ends in at least z zeros exactly when
+The inverse comes from eta: m! ends in at least z zeros exactly when
 10^z | m!, that is, when m >= eta(10^z) = eta_5(z), so the m with exactly z
 zeros are eta_5(z) <= m < eta_5(z + 1).
 """
@@ -59,13 +59,16 @@ _trusted_zeros_solution = ZerosSolution._builder()
 
 
 def _zeros_members(z: int) -> tuple[int, ...]:
-    """The m >= 1 with eta(10^z) <= m < eta(10^(z + 1)); checks z first."""
+    """The m >= 1 with eta(10^z) <= m < eta(10^(z + 1)); checks z first.
+    m = eta_5(z) is a multiple of 5, so v_5(i!) is one value for i in m..m+4:
+    the members are m..m+4 (less 0) if it is z, else none (it passes z)."""
     _check_int("z", z, 0)
     if z > INT64_MAX // 5:  # every member is below eta_5(z + 1) <= 5z + 5
         raise OverflowError(f"z must be <= {INT64_MAX // 5}, got {z}")
     # eta(10^z) = max(eta_2(z), eta_5(z)), and (p-1)k < eta_p(k) <= pk gives
     # eta_2(z) <= 2z < eta_5(z) for z >= 1, so the prime 2 never decides
-    return tuple(range(max(1, _eta_p(z, 5)), _eta_p(z + 1, 5)))
+    m = _eta_p(z, 5)
+    return tuple(range(max(1, m), m + 5)) if _legendre(m, 5) == z else ()
 
 
 def trailing_zeros(m: int) -> int:

@@ -2,7 +2,7 @@
 
 eta_p(k) is the smallest m with p^k | m!: with k = sum t_i * a_{n_i} in the
 repunit base of p, eta_p(k) = sum t_i * p^{n_i} = (p-1)*k + sum t_i, since
-p^n = (p-1)*a_n + 1; the kernel takes the second form and forms no power.
+p^n = (p-1)*a_n + 1; the kernel takes the second form and forms p^j once.
 
 eta(n) for a factored n = sign * p1^a1 * ... * ps^as is the largest of the
 per-prime values eta_{p_i}(a_i), and 0 for n = +/-1. Both come with dumb
@@ -74,15 +74,17 @@ def _eta_p(k: int, p: int) -> int:
     the repunit a_n = (p^n - 1)/(p - 1) stands for t * p^n = (p-1)*t*a_n + t.
     The digits come from `decompose`'s greedy walk, repeated here on purpose
     (a shared digit kernel was measured slower on the `table` and `factored`
-    benchmark workloads); a_n // p = a_{n-1}, as a_n = p*a_{n-1} + 1.
+    benchmark workloads), with its start and its zero-digit skip; k = 0 starts
+    at a_0 = 0 and ends at once, and a_n // p = a_{n-1}.
     """
-    repunit = 1
+    repunit = (p ** (k.bit_length() // (p - 1).bit_length()) - 1) // (p - 1)
     while repunit * p < k:  # a_{n+1} = p*a_n + 1 <= k
         repunit = repunit * p + 1
     m = (p - 1) * k
     while k:
-        digit, k = divmod(k, repunit)
-        m += digit
+        if k >= repunit:
+            digit, k = divmod(k, repunit)
+            m += digit
         repunit //= p
     return m
 

@@ -64,22 +64,25 @@ def decompose(k: int, p: int) -> RepunitDecomposition:
 
     Greedy: take the largest repunit a_n <= remainder, digit = remainder
     // a_n, and repeat on the rest, one place down at a time: a_n // p =
-    a_{n-1} since a_n = p*a_{n-1} + 1. The base's carry structure
-    guarantees the greedy digits always satisfy the invariants, so the
-    record skips the constructor's checks (the tests rebuild it and
-    `verify` checks its terms, to catch a bug) and `_require_prime` is the
-    one proof of p.
+    a_{n-1} since a_n = p*a_{n-1} + 1. The walk starts at most one place
+    above the largest, at n = (bit length of k) // (bit length of p - 1), and
+    a place whose repunit exceeds the remainder, a zero digit, costs one
+    compare. The base's carry structure guarantees the greedy digits always
+    satisfy the invariants, so the record skips the constructor's checks (the
+    tests rebuild it and `verify` checks its terms, to catch a bug) and
+    `_require_prime` is the one proof of p.
     """
     _check_int("k", k, 1)  # above INT64_MAX, recompose may leave the 128-bit range
-    _require_prime(p)  # before the walk up the repunits, which p < 2 would never end
-    a, n = 1, 1  # the repunit a_n
+    _require_prime(p)  # first: below, p = 1 divides by zero and p < 1 walks forever
+    n = k.bit_length() // (p - 1).bit_length()  # b // c, with p <= 2^c and 2^(b-1) <= k
+    a = (p**n - 1) // (p - 1)  # a_n < 2p^(n-1) <= 2^(b-c+1) <= 2k, so a_{n-1} < k
     while a * p < k:  # a_{n+1} = p*a_n + 1 <= k
         a = a * p + 1
         n += 1
     terms = []
     while k:
-        digit, k = divmod(k, a)
-        if digit:
+        if k >= a:
+            digit, k = divmod(k, a)
             terms.append((n, digit))
         a //= p
         n -= 1

@@ -19,6 +19,8 @@ from kempner import (
     solve_trailing_zeros,
     trailing_zeros,
 )
+from kempner.applications import _zeros_members
+from kempner.number_core import _legendre
 
 
 def factorial(m: int) -> int:
@@ -114,6 +116,33 @@ def test_zero_count_zero_constant():
     assert solve_trailing_zeros(0) == ZerosSolution(0, (1, 2, 3, 4))
     assert all(trailing_zeros(m) == 0 for m in solve_trailing_zeros(0).members)
     assert trailing_zeros(5) == 1
+
+
+def eta_5_by_search(k: int) -> int:
+    """The least m >= 0 with v_5(m!) >= k: eta_p_oracle's binary search,
+    without its k >= 1 and 5k <= INT64_MAX bounds, which z = 0 and z + 1
+    at the top of the range pass."""
+    lo, hi = 0, 5 * k
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _legendre(mid, 5) >= k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_zeros_members_match_two_searches():
+    top = INT64_MAX // 5
+    zs = set(range(top - 19, top + 1))  # the 20 largest z
+    a = 1  # each repunit a_n of 5 up to the top, with its neighbours
+    while a <= top:
+        zs.update((a - 1, a, a + 1))
+        a = a * 5 + 1
+    for z in sorted(zs):
+        expected = tuple(range(max(1, eta_5_by_search(z)), eta_5_by_search(z + 1)))
+        assert _zeros_members(z) == expected, z
+    assert _zeros_members(0) == (1, 2, 3, 4)
 
 
 def test_zeros_solution_validation():

@@ -21,6 +21,7 @@ from kempner import (
     legendre_valuation,
 )
 from kempner.eta import _eta_p
+from kempner.number_core import _legendre
 
 FIRST_TEN_PRIMES = first_primes(10)
 
@@ -99,6 +100,22 @@ def test_eta_witness_small_exponent_path_matches_the_kernel(p):
         e = _eta_p(a, p)
         assert e == eta_p_oracle(a, p), a
         assert eta(Factorization(1, (PrimePower(p, a),))) == EtaResult(e, ((p, a, e),), p), a
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 65521, 2**31 - 1, 2**61 - 1))
+def test_kernel_meets_legendre_count_at_64_bit_edges(p):
+    # the defining property, not decompose: the kernel and decompose share their walk
+    top = INT64_MAX // p
+    ks = {1, p - 1, p, p + 1, top}
+    a = 1  # each repunit a_n <= top, with its neighbours and p*a_n
+    while a <= top:
+        ks.update((a - 1, a, a + 1, p * a))
+        a = a * p + 1
+    for k in sorted(ks - {0}):
+        m = _eta_p(k, p)
+        assert m % p == 0, k
+        assert _legendre(m, p) >= k > _legendre(m - 1, p), k
+    assert _eta_p(0, p) == 0
 
 
 def test_eta_p_defining_property_by_valuation():

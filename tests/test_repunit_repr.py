@@ -64,6 +64,19 @@ def test_round_trip(p, k):
     assert recompose(decompose(k, p)) == k
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 65521, 2**31 - 1, 2**61 - 1))
+def test_round_trip_at_64_bit_edges(p):
+    ks = {1, p - 1, p, p + 1, INT64_MAX // p, INT64_MAX}
+    a = 1  # each repunit a_n <= INT64_MAX, with its neighbours and p*a_n
+    while a <= INT64_MAX:
+        ks.update((a - 1, a, a + 1, p * a))
+        a = a * p + 1
+    for k in sorted(k for k in ks if 1 <= k <= INT64_MAX):
+        d = decompose(k, p)
+        assert RepunitDecomposition(p, d.terms) == d, k  # the validating constructor
+        assert recompose(d) == k, k
+
+
 def test_round_trip_exhaustive():
     for p in FIRST_TEN_PRIMES:
         for k in range(1, 5001):
